@@ -3,9 +3,9 @@
 Runs the Heat3D simulation three ways -- bitmaps, full data, and in-situ
 sampling -- through the same reduce/select/write pipeline (selecting 10 of
 40 time-steps with conditional entropy), then runs the bitmap pipeline a
-fourth time with the *Separate Cores* strategy: simulation on the caller
-thread, bitmap construction on a worker thread, a bounded data queue
-between them.
+fourth time with the *Separate Cores* strategy on threads: simulation on
+the caller thread, bitmap construction on one worker thread, a bounded
+data queue between them.
 
 Run:  python examples/insitu_heat3d.py
 """
@@ -14,7 +14,7 @@ import tempfile
 from pathlib import Path
 
 from repro import Heat3D, PrecisionBinning
-from repro.insitu import InSituPipeline, OutputWriter, Sampler
+from repro.insitu import InSituPipeline, OutputWriter, Sampler, SeparateCores
 from repro.selection import CONDITIONAL_ENTROPY
 
 SHAPE = (16, 16, 48)
@@ -46,8 +46,9 @@ def run_separate_cores(out_root: Path) -> None:
     pipe = InSituPipeline(sim, binning, CONDITIONAL_ENTROPY, mode="bitmap",
                           writer=OutputWriter(out_root / "separate"))
     step_bytes = 16 * 16 * 48 * 8
-    result = pipe.run_threaded(
-        N_STEPS, SELECT_K, queue_capacity_bytes=4 * step_bytes, n_workers=1
+    result = pipe.run_parallel(
+        N_STEPS, SELECT_K, allocation=SeparateCores(1, 1), executor="threads",
+        queue_capacity_bytes=4 * step_bytes,
     )
     print("\n=== bitmap, Separate Cores (threaded, bounded queue) ===")
     print(result.summary())

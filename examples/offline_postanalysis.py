@@ -36,21 +36,11 @@ def in_situ_phase(store: BitmapStore) -> None:
         N_STEPS, SELECT_K,
         lambda prev, cand: CONDITIONAL_ENTROPY.bitmap(prev[1], cand[1]),
     )
-    committed: list[tuple[int, BitmapIndex]] = []
-    original = selector._commit
-
-    def commit(step, score, artifact):
-        original(step, score, artifact)
-        if artifact is not None:
-            committed.append(artifact)
-
-    selector._commit = commit  # write-on-commit hook
     for out in sim.run(N_STEPS):
         index = BitmapIndex.build(out.fields["temperature"], binning)
-        selector.push((out.step, index))
+        for _, (step_id, kept) in selector.push((out.step, index)):
+            store.write(step_id, "temperature", kept)  # write on commit
     result = selector.finalize()
-    for step_id, index in committed:
-        store.write(step_id, "temperature", index)
     store.set_attr("workload", "heat3d")
     store.set_attr("selection", ",".join(map(str, result.selected)))
     print(f"in-situ phase: kept {result.selected} of {N_STEPS} steps "

@@ -379,11 +379,12 @@ def build_bitvectors_parallel(
     if n_workers == 1 or n < n_workers * GROUP_BITS:
         return build_bitvectors(flat, binning, chunk_elements=chunk_elements)
     if executor == "processes":
-        from repro.insitu.parallel import build_bitvectors_processes
+        from repro.insitu.parallel import SharedCoresEngine
 
-        return build_bitvectors_processes(
-            flat, binning, n_workers=n_workers, chunk_elements=chunk_elements
-        )
+        with SharedCoresEngine(
+            n_workers, binning, chunk_elements=chunk_elements
+        ) as engine:
+            return engine.build_bitvectors(flat)
 
     # Block boundaries on 31-bit group boundaries.
     per_block = -(-n // n_workers)

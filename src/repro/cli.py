@@ -53,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, default=None, help="output directory")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1,
-                   help="total worker count; > 1 runs the parallel engine "
+                   help="total worker count; > 1 runs the parallel engines "
                         "(bitmap mode only)")
     p.add_argument("--allocation", choices=["shared", "separate", "auto"],
                    default="shared",
@@ -226,7 +226,13 @@ def _parse_shape(text: str, dims: int = 3) -> tuple[int, ...]:
 
 # ------------------------------------------------------------- subcommands
 def _cmd_insitu(args: argparse.Namespace) -> int:
-    from repro.insitu import InSituPipeline, OutputWriter, Sampler
+    from repro.insitu import (
+        InSituPipeline,
+        OutputWriter,
+        Sampler,
+        resolve_allocation,
+    )
+    from repro.insitu.pipeline import UnsupportedCombination
     from repro.selection import get_metric
     from repro.sims import Heat3D, LuleshProxy
 
@@ -252,27 +258,26 @@ def _cmd_insitu(args: argparse.Namespace) -> int:
         if args.mode == "sampling"
         else None
     )
-    pipe = InSituPipeline(
-        sim, binning, get_metric(metric_name), mode=args.mode,
-        sampler=sampler, writer=writer, ordering=args.ordering,
-    )
-    if args.workers > 1:
-        if args.mode != "bitmap":
-            raise SystemExit("--workers > 1 requires --mode bitmap")
-        from repro.insitu import resolve_allocation
-
-        result = pipe.run_parallel(
-            args.steps,
-            args.select,
-            allocation=resolve_allocation(args.allocation, args.workers),
-            n_workers=args.workers,
-            executor=args.executor,
-            queue_capacity_bytes=int(args.queue_mb * 2**20),
+    try:
+        pipe = InSituPipeline(
+            sim, binning, get_metric(metric_name), mode=args.mode,
+            sampler=sampler, writer=writer, ordering=args.ordering,
         )
-        if result.queue_stats is not None:
-            print(f"queue: {result.queue_stats}")
-    else:
-        result = pipe.run(args.steps, args.select)
+        if args.workers > 1:
+            result = pipe.run_parallel(
+                args.steps,
+                args.select,
+                allocation=resolve_allocation(args.allocation, args.workers),
+                n_workers=args.workers,
+                executor=args.executor,
+                queue_capacity_bytes=int(args.queue_mb * 2**20),
+            )
+        else:
+            result = pipe.run(args.steps, args.select)
+    except UnsupportedCombination as exc:
+        raise SystemExit(f"repro insitu: {exc}") from None
+    if result.queue_stats is not None:
+        print(f"queue: {result.queue_stats}")
     print(result.summary())
     print(result.memory.report())
     return 0

@@ -2,9 +2,9 @@
 
 Each rank advances its own simulation twin, slices out its axis-0 slab of
 every time-step (C-order flattening makes slabs contiguous in the flat
-payload), builds per-step bitmap indices with the single-node machinery --
-serially or through the §2.3 process engines of
-:mod:`repro.insitu.parallel` -- and joins the distributed selection merge
+payload), builds per-step bitmap indices with one of the single-node build
+engines of :mod:`repro.insitu.parallel` -- inline, or either §2.3 process
+engine -- and joins the distributed selection merge
 of :mod:`repro.cluster.merge`.  Selected steps land under
 ``rank_*/step_*/`` with a global ``cluster.json`` manifest;
 :func:`assemble_global_index` splices the per-rank stores back into an
@@ -27,7 +27,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.bitmap.binning import Binning, PrecisionBinning
-from repro.bitmap.builder import build_bitvectors, splice_bitvectors
+from repro.bitmap.builder import splice_bitvectors
 from repro.bitmap.index import BitmapIndex
 from repro.bitmap.serialization import load_index
 from repro.cluster.checkpoint import CheckpointStore, StepCheckpoint
@@ -41,6 +41,11 @@ from repro.cluster.transport import (
     RecoveryEvent,
     RecoveryPolicy,
     Transport,
+)
+from repro.insitu.parallel import (
+    InlineEngine,
+    SeparateCoresEngine,
+    SharedCoresEngine,
 )
 from repro.insitu.writer import OutputWriter
 from repro.selection.greedy import Partitioning, SelectionResult
@@ -198,12 +203,6 @@ class ClusterResult:
 
 
 # --------------------------------------------------------------- rank body
-def _rank_payload(step_fields: dict, variable: str, lo: int, hi: int) -> np.ndarray:
-    """The rank's slab of the canonical float64 flat payload."""
-    flat = np.asarray(step_fields[variable], dtype=np.float64).ravel()
-    return flat[lo:hi]
-
-
 def _step_binning(
     transport: Transport, spec: ClusterSpec, vmin: float, vmax: float
 ) -> Binning:
@@ -260,96 +259,55 @@ def run_rank(transport: Transport, spec: ClusterSpec) -> RankReport:
         else:
             ckpt.begin(transport.size, (lo, hi))
 
-    step_ids: list[int] = []
-    indices: list[BitmapIndex] = []
-
-    def _advance_slab() -> tuple[int, np.ndarray, float, float]:
-        step = sim.advance()
-        slab = _rank_payload(step.fields, variable, lo, hi)
-        return step.step, slab, float(slab.min()), float(slab.max())
-
     if spec.engine == "separate":
-        from repro.insitu.parallel import SeparateCoresEngine
-
-        slab_nbytes = max((hi - lo) * 8, 1)
         engine = SeparateCoresEngine(
             spec.binning,
             n_workers=spec.workers_per_rank,
-            slot_nbytes=slab_nbytes,
+            slot_nbytes=max((hi - lo) * 8, 1),
             adaptive_digits=spec.adaptive_digits,
             chunk_elements=spec.chunk_elements,
         )
-        extremes: dict[int, tuple[float, float]] = {}
-        try:
-            for pos in range(spec.n_steps):
-                if pos in recovered:
-                    sc, _ = recovered[pos]
-                    step_ids.append(sc.step_id)
-                    _step_binning(transport, spec, sc.vmin, sc.vmax)
-                    continue
-                step_id, slab, vmin, vmax = _advance_slab()
-                step_ids.append(step_id)
-                extremes[step_id] = (vmin, vmax)
-                binning = _step_binning(transport, spec, vmin, vmax)
-                engine.submit(
-                    step_id,
-                    slab,
-                    binning=binning if spec.binning is None else None,
-                )
-            results = engine.finish()
-        finally:
-            engine.close()
-        indices = [
-            recovered[pos][1] if pos in recovered else results[step_ids[pos]]
-            for pos in range(spec.n_steps)
-        ]
-        if ckpt is not None:
-            # The separate engine builds asynchronously; its step
-            # boundary for checkpointing purposes is finish().
-            for pos in range(spec.n_steps):
-                if pos not in recovered:
-                    vmin, vmax = extremes[step_ids[pos]]
-                    ckpt.record_step(step_ids[pos], indices[pos], vmin, vmax)
+    elif spec.engine == "shared":
+        engine = SharedCoresEngine(
+            spec.workers_per_rank, spec.binning, chunk_elements=spec.chunk_elements
+        )
     else:
-        if spec.engine == "shared":
-            from repro.insitu.parallel import SharedCoresEngine
+        engine = InlineEngine(chunk_elements=spec.chunk_elements)
 
-            engine_cm = SharedCoresEngine(
-                spec.workers_per_rank,
-                spec.binning,
-                chunk_elements=spec.chunk_elements,
-            )
-        else:
-            engine_cm = None
+    step_ids: list[int] = []
+    extremes: list[tuple[float, float]] = []
+    indices: list[BitmapIndex | None] = [None] * spec.n_steps
 
-        def _build(slab: np.ndarray, binning: Binning) -> BitmapIndex:
-            if engine_cm is not None:
-                return engine_cm.build_index(slab, binning=binning)
-            vectors = build_bitvectors(
-                slab, binning, chunk_elements=spec.chunk_elements
-            )
-            return BitmapIndex(binning, vectors, slab.size)
+    def keep(pos: int, index: BitmapIndex) -> None:
+        # A step's boundary for checkpointing is when the engine hands
+        # its index back: at once for inline/shared, at finish() for
+        # separate cores.
+        indices[pos] = index
+        if ckpt is not None:
+            ckpt.record_step(step_ids[pos], index, *extremes[pos])
 
-        if engine_cm is not None:
-            engine_cm.__enter__()
-        try:
-            for pos in range(spec.n_steps):
-                if pos in recovered:
-                    sc, index = recovered[pos]
-                    step_ids.append(sc.step_id)
-                    indices.append(index)
-                    _step_binning(transport, spec, sc.vmin, sc.vmax)
-                    continue
-                step_id, slab, vmin, vmax = _advance_slab()
-                step_ids.append(step_id)
-                binning = _step_binning(transport, spec, vmin, vmax)
-                index = _build(slab, binning)
-                indices.append(index)
-                if ckpt is not None:
-                    ckpt.record_step(step_id, index, vmin, vmax)
-        finally:
-            if engine_cm is not None:
-                engine_cm.__exit__(None, None, None)
+    try:
+        for pos in range(spec.n_steps):
+            if pos in recovered:
+                sc, index = recovered[pos]
+                step_ids.append(sc.step_id)
+                extremes.append((sc.vmin, sc.vmax))
+                indices[pos] = index
+                _step_binning(transport, spec, sc.vmin, sc.vmax)
+                continue
+            step = sim.advance()
+            # The rank's slab of the canonical float64 flat payload.
+            slab = np.asarray(step.fields[variable], dtype=np.float64).ravel()[lo:hi]
+            step_ids.append(step.step)
+            extremes.append((float(slab.min()), float(slab.max())))
+            binning = _step_binning(transport, spec, *extremes[pos])
+            index = engine.submit(pos, slab, binning=binning)
+            if index is not None:
+                keep(pos, index)
+        for pos, index in sorted(engine.finish().items()):
+            keep(pos, index)
+    finally:
+        engine.close()
 
     selection = distributed_select(
         transport,

@@ -13,9 +13,10 @@ Two strategies, verbatim from the paper:
       Core_sim    = Core_total * Time_sim / (Time_sim + Time_bitmap)
       Core_bitmap = Core_total - Core_sim
 
-These dataclasses carry the split; the execution semantics live in the
-discrete-event pipeline model (:mod:`repro.perfmodel.pipeline_model`) and
-in the real threaded runner (:meth:`repro.insitu.pipeline.InSituPipeline`).
+These dataclasses carry the split.  The discrete-event pipeline model
+(:mod:`repro.perfmodel.pipeline_model`) simulates both strategies, and
+:meth:`repro.insitu.pipeline.InSituPipeline.run_parallel` executes them
+on the build engines of :mod:`repro.insitu.parallel`.
 """
 
 from __future__ import annotations
@@ -79,30 +80,20 @@ def equation_1_2_allocation(
 
 
 def resolve_allocation(
-    spec: "str | SharedCores | SeparateCores",
-    total_workers: int,
-    *,
-    time_simulate: float | None = None,
-    time_bitmap: float | None = None,
+    spec: "str | SharedCores | SeparateCores", total_workers: int
 ) -> "SharedCores | SeparateCores | str":
     """Turn a CLI-style spec into a strategy instance.
 
     ``"shared"`` -> all ``total_workers`` build every step together;
-    ``"separate"`` -> one simulation core (the parent), the rest encode --
-    unless both phase times are given, in which case Equations 1-2 pick
-    the split; ``"auto"`` passes through (the pipeline calibrates phase
-    times itself) when no times are given.  Instances pass through
-    unchanged.
+    ``"separate"`` -> one simulation core (the parent), the rest encode;
+    ``"auto"`` passes through (the pipeline calibrates the Equations 1-2
+    split itself).  Instances pass through unchanged.
     """
-    if isinstance(spec, (SharedCores, SeparateCores)):
+    if isinstance(spec, (SharedCores, SeparateCores)) or spec == "auto":
         return spec
     if spec == "shared":
         return SharedCores(total_workers)
-    if spec in ("separate", "auto"):
-        if time_simulate is not None and time_bitmap is not None:
-            return equation_1_2_allocation(total_workers, time_simulate, time_bitmap)
-        if spec == "auto":
-            return "auto"
+    if spec == "separate":
         if total_workers < 2:
             raise ValueError(
                 f"separate-cores needs >= 2 workers, got {total_workers}"

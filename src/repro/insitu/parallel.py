@@ -1,39 +1,50 @@
-"""Process-parallel bitmap generation: §2.3's two strategies, for real.
+"""Build engines: the reduce stage of the in-situ step loop (§2.3).
 
-The threaded runner (:meth:`~repro.insitu.pipeline.InSituPipeline.run_threaded`)
-exercises the *semantics* of Separate Cores but the GIL serialises the
-Python halves of bitmap construction, so it cannot deliver the paper's
-Figure 7-12 wall-clock speedups.  This module runs both core-allocation
-strategies on **processes**, with payload arrays crossing the process
-boundary zero-copy through ``multiprocessing.shared_memory``:
+Every engine speaks one protocol, :class:`BuildEngine`:
+``submit(step_id, payload, binning=None)`` hands over one step's payload
+and returns its artifact at once (*synchronous* engines) or ``None``
+(*asynchronous* engines, which return every index from ``finish()``);
+``close()`` releases workers; ``stats`` and ``resident_bytes`` report
+queue accounting.  :class:`~repro.insitu.pipeline.InSituPipeline` runs
+one step loop over whichever engine a run is configured with:
 
-* :class:`SharedCoresEngine` -- all cores alternate phases.  Each
-  time-step's payload is written once into a shared-memory slab,
+* :class:`InlineEngine` -- synchronous, in-process; reduces a payload in
+  any of the three modes (bitmap index, sample, raw payload).
+
+* :class:`SharedCoresEngine` -- synchronous; all cores alternate phases.
+  Each time-step's payload is written once into a shared-memory slab,
   spatially partitioned into 31-bit-aligned sub-blocks
   (:func:`group_aligned_partitions`, the same contiguous-tiling
   convention as :mod:`repro.selection.partitioning`), built per worker
-  with :func:`~repro.bitmap.builder.build_bitvectors` on a zero-copy
-  slice view, shipped back as raw WAH word buffers (``bytes``, not
-  pickled objects), and stitched with
+  process with :func:`~repro.bitmap.builder.build_bitvectors` on a
+  zero-copy slice view, shipped back as raw WAH word buffers (``bytes``,
+  not pickled objects), and stitched with
   :func:`~repro.bitmap.builder.concatenate_bitvectors` -- word-identical
   to a serial build, including partition boundaries that are not
-  multiples of 31 (only the *last* block may be ragged).
+  multiples of 31 (only the *last* block may be ragged).  With
+  ``executor='threads'`` the same split runs on a thread pool
+  (:func:`~repro.bitmap.builder.build_bitvectors_parallel`).
 
-* :class:`SeparateCoresEngine` -- a persistent encoder pool drains a
-  bounded ring of shared-memory payload *slots* while the simulation
-  advances in the parent.  The ring carries the
+* :class:`SeparateCoresEngine` -- asynchronous; a persistent encoder
+  process pool drains a bounded ring of shared-memory payload *slots*
+  while the simulation advances in the parent.  The ring carries the
   :class:`~repro.insitu.queue.BoundedDataQueue` backpressure contract
   across processes: ``submit`` blocks while every slot is in flight, and
   a worker failure poisons the ring so the producer raises
-  :class:`~repro.insitu.queue.QueueFailed` instead of deadlocking
-  (mirroring the threaded runner's ``fail()`` semantics).  The worker
-  count comes from the paper's Equations 1-2 split
+  :class:`~repro.insitu.queue.QueueFailed` instead of deadlocking.  The
+  worker count comes from the paper's Equations 1-2 split
   (:func:`~repro.insitu.allocation.equation_1_2_allocation`).
 
-Both engines keep their pools and slabs alive across steps -- process
-start-up and slab allocation are paid once per run, not per time-step.
-Results always travel as ``(n_bits, [bytes])`` buffers; exceptions travel
-pickled (with a ``repr`` fallback for unpicklable ones).
+* :class:`ThreadedSeparateCoresEngine` -- asynchronous; the same
+  contract on a thread pool draining a byte-bounded
+  :class:`~repro.insitu.queue.BoundedDataQueue`.  The GIL serialises the
+  Python halves of bitmap construction, so threads show the *semantics*
+  of Separate Cores, not the paper's Figure 7-12 wall-clock speedups.
+
+The process engines keep their pools and slabs alive across steps --
+process start-up and slab allocation are paid once per run, not per
+time-step.  Results always travel as ``(n_bits, [bytes])`` buffers;
+exceptions travel pickled (with a ``repr`` fallback for unpicklable ones).
 """
 
 from __future__ import annotations
@@ -44,26 +55,104 @@ import threading
 from dataclasses import dataclass
 from multiprocessing import get_context
 from multiprocessing.shared_memory import SharedMemory
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Protocol
 
 import numpy as np
 
-from repro.bitmap.binning import Binning
+from repro.bitmap.binning import Binning, PrecisionBinning
 from repro.bitmap.builder import (
     bitvectors_to_buffers,
     build_bitvectors,
+    build_bitvectors_parallel,
     stitch_buffer_parts,
 )
 from repro.bitmap.index import BitmapIndex
 from repro.bitmap.wah import WAHBitVector
-from repro.insitu.queue import QueueClosed, QueueFailed, QueueStats
+from repro.insitu.queue import (
+    BoundedDataQueue,
+    QueueClosed,
+    QueueFailed,
+    QueueStats,
+)
 from repro.selection.partitioning import validate_partitions
 from repro.util.bits import GROUP_BITS
+
+if TYPE_CHECKING:
+    from repro.insitu.sampling import Sampler
 
 #: Seconds between liveness checks while blocked on a cross-process queue.
 _POLL_SECONDS = 0.05
 #: Seconds to wait for worker shutdown before terminating the pool.
 _JOIN_SECONDS = 10.0
+
+
+# ------------------------------------------------------------------ protocol
+class BuildEngine(Protocol):
+    """What the in-situ step loop drives.
+
+    ``submit`` returns the step's artifact when the engine is synchronous
+    and ``None`` when it is not; ``finish`` returns every artifact not yet
+    handed back, keyed by ``step_id``.  ``binning`` is the step's binning;
+    engines constructed with one fall back to it when it is ``None``.
+    ``stats`` is ``None`` for engines without a queue.
+    """
+
+    stats: QueueStats | None
+    resident_bytes: int
+
+    def submit(
+        self, step_id: int, payload: np.ndarray, *, binning: Binning | None = None
+    ) -> object | None: ...
+
+    def finish(self) -> dict[int, BitmapIndex]: ...
+
+    def close(self) -> None: ...
+
+
+class InlineEngine:
+    """Synchronous in-process reduction, in any of the three modes.
+
+    ``mode='bitmap'`` builds a :class:`~repro.bitmap.index.BitmapIndex`
+    (``build_method`` picks the vectorised or the online Algorithm 1
+    builder; both are word-identical), ``'sampling'`` down-samples with
+    ``sampler``, and ``'fulldata'`` keeps the payload as it is.
+    """
+
+    stats = None
+    resident_bytes = 0
+
+    def __init__(
+        self,
+        *,
+        mode: str = "bitmap",
+        sampler: "Sampler | None" = None,
+        build_method: str = "vectorized",
+        chunk_elements: int = 1 << 20,
+    ) -> None:
+        self.mode = mode
+        self.sampler = sampler
+        self.build_method = build_method
+        self.chunk_elements = chunk_elements
+
+    def submit(
+        self, step_id: int, payload: np.ndarray, *, binning: Binning | None = None
+    ) -> object:
+        if self.mode == "sampling":
+            return self.sampler.sample(payload)
+        if self.mode == "fulldata":
+            return payload
+        return BitmapIndex.build(
+            payload,
+            binning,
+            method=self.build_method,  # type: ignore[arg-type]
+            chunk_elements=self.chunk_elements,
+        )
+
+    def finish(self) -> dict[int, BitmapIndex]:
+        return {}
+
+    def close(self) -> None:
+        pass
 
 
 # --------------------------------------------------------------- partitioning
@@ -119,9 +208,7 @@ class _BuildSpec:
     def resolve_binning(self, data: np.ndarray) -> Binning:
         if self.binning is not None:
             return self.binning
-        from repro.bitmap.adaptive import AdaptivePrecisionIndexer
-
-        return AdaptivePrecisionIndexer(digits=self.adaptive_digits).binning_for(data)
+        return PrecisionBinning.from_data(data, digits=self.adaptive_digits)
 
 
 class _AttachmentCache:
@@ -162,52 +249,24 @@ class _AttachmentCache:
         self._segments.clear()
 
 
-def _shared_cores_worker(spec_blob: bytes, task_q, result_q) -> None:
-    """Shared Cores worker loop: build one sub-block per task."""
-    spec: _BuildSpec = pickle.loads(spec_blob)
-    attachments = _AttachmentCache()
-    try:
-        while True:
-            task = task_q.get()
-            if task is None:
-                return
-            seq, block_id, shm_name, dtype, lo, hi, binning_blob = task
-            try:
-                data = attachments.view(shm_name, dtype, lo, hi)
-                binning = (
-                    pickle.loads(binning_blob)
-                    if binning_blob is not None
-                    else spec.binning
-                )
-                vectors = build_bitvectors(
-                    data, binning, chunk_elements=spec.chunk_elements
-                )
-                result_q.put(
-                    (seq, block_id, None, bitvectors_to_buffers(vectors))
-                )
-            except BaseException as exc:
-                result_q.put((seq, block_id, _dump_exc(exc), None))
-    finally:
-        attachments.close()
+def _worker(spec_blob: bytes, task_q, result_q, free_q=None) -> None:
+    """Worker loop of both process engines: build one (sub-)payload per
+    task and reply ``(key, exception blob or None, (binning blob, word
+    buffers))``.
 
-
-def _separate_cores_worker(spec_blob: bytes, task_q, result_q, free_q) -> None:
-    """Separate Cores worker loop: build whole steps, release slots.
-
-    Mirrors the threaded worker of ``run_threaded``: on failure it ships
-    the exception and *dies*; the parent's ring poisons itself so the
-    producer raises instead of deadlocking.
+    A Shared Cores worker reports a failed block and keeps serving.  A
+    Separate Cores worker (``free_q`` given) releases its slot after every
+    task and *dies* after shipping a failure, mirroring
+    :class:`ThreadedSeparateCoresEngine`'s workers: the parent's ring
+    poisons itself so the producer raises instead of deadlocking.
     """
     spec: _BuildSpec = pickle.loads(spec_blob)
     attachments = _AttachmentCache()
     try:
-        while True:
-            task = task_q.get()
-            if task is None:
-                return
-            slot_id, step_id, shm_name, dtype, n_elements, binning_blob = task
+        while (task := task_q.get()) is not None:
+            key, slot_id, shm_name, dtype, lo, hi, binning_blob = task
             try:
-                data = attachments.view(shm_name, dtype, 0, n_elements)
+                data = attachments.view(shm_name, dtype, lo, hi)
                 binning = (
                     pickle.loads(binning_blob)
                     if binning_blob is not None
@@ -218,16 +277,21 @@ def _separate_cores_worker(spec_blob: bytes, task_q, result_q, free_q) -> None:
                 )
                 # Buffers are copied out of shared memory by tobytes(), so
                 # the slot can be recycled before the result is consumed.
-                payload = (
-                    pickle.dumps(binning) if spec.binning is None else None,
-                    bitvectors_to_buffers(vectors),
+                reply = (
+                    key,
+                    None,
+                    (
+                        pickle.dumps(binning) if spec.binning is None else None,
+                        bitvectors_to_buffers(vectors),
+                    ),
                 )
             except BaseException as exc:
+                reply = (key, _dump_exc(exc), None)
+            if free_q is not None:
                 free_q.put(slot_id)
-                result_q.put(("err", step_id, _dump_exc(exc)))
+            result_q.put(reply)
+            if free_q is not None and reply[1] is not None:
                 return
-            free_q.put(slot_id)
-            result_q.put(("ok", step_id, payload))
     finally:
         attachments.close()
 
@@ -288,49 +352,101 @@ def _reap(processes: Iterable, label: str) -> None:
             )
 
 
+def _spawn(ctx, target, args: tuple, n_workers: int, label: str) -> list:
+    """Start ``n_workers`` daemon processes running ``target(*args)``."""
+    procs = [
+        ctx.Process(target=target, args=args, name=f"{label}-{i}", daemon=True)
+        for i in range(n_workers)
+    ]
+    for proc in procs:
+        proc.start()
+    return procs
+
+
+def _stop(procs: list, task_q) -> int:
+    """Send every worker its sentinel and join it; returns how many had
+    to be terminated."""
+    for _ in procs:
+        try:
+            task_q.put(None)
+        except (ValueError, OSError):  # pragma: no cover - queue gone
+            break
+    stuck = 0
+    for proc in procs:
+        proc.join(timeout=_JOIN_SECONDS)
+        if proc.is_alive():  # pragma: no cover - stuck worker
+            proc.terminate()
+            proc.join(timeout=_JOIN_SECONDS)
+            stuck += 1
+    return stuck
+
+
+class _PoolEngine:
+    """Context-manager and garbage-collection plumbing around ``close()``."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def __del__(self) -> None:  # pragma: no cover - GC safety net
+        try:
+            self.close()
+        except Exception:
+            pass
+
+
 # ------------------------------------------------------------- Shared Cores
-class SharedCoresEngine:
-    """Spatially partitioned per-step builds on a persistent process pool.
+class SharedCoresEngine(_PoolEngine):
+    """Spatially partitioned per-step builds on a persistent worker pool.
 
     One time-step at a time: the payload lands in a shared slab, each
-    worker builds its 31-aligned sub-block zero-copy, and the parent
-    stitches the word buffers.  Pass ``binning=None`` to supply a
-    per-step binning at :meth:`build_bitvectors` time (the adaptive
-    pipeline does; the parent derives the binning, workers receive it
-    pickled per task).
+    worker process builds its 31-aligned sub-block zero-copy, and the
+    parent stitches the word buffers.  ``executor='threads'`` splits the
+    same way on a thread pool instead
+    (:func:`~repro.bitmap.builder.build_bitvectors_parallel`) and starts
+    no processes.  Pass ``binning=None`` to supply a per-step binning at
+    :meth:`build_bitvectors` time (the adaptive pipeline does; the parent
+    derives the binning, workers receive it pickled per task).
     """
+
+    stats = None
+    resident_bytes = 0
 
     def __init__(
         self,
         n_workers: int,
         binning: Binning | None = None,
         *,
+        executor: str = "processes",
         chunk_elements: int = 1 << 20,
         start_method: str | None = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+        if executor not in ("threads", "processes"):
+            raise ValueError(f"unknown executor {executor!r}")
         self.n_workers = int(n_workers)
         self.binning = binning
+        self.executor = executor
         self._spec = _BuildSpec(binning, chunk_elements=chunk_elements)
-        ctx = _pick_context(start_method)
-        self._task_q = ctx.Queue()
-        self._result_q = ctx.Queue()
         self._slab = _Slab()
         self._seq = 0
         self._closed = False
-        spec_blob = pickle.dumps(self._spec)
-        self._procs = [
-            ctx.Process(
-                target=_shared_cores_worker,
-                args=(spec_blob, self._task_q, self._result_q),
-                name=f"shared-cores-{i}",
-                daemon=True,
-            )
-            for i in range(self.n_workers)
-        ]
-        for proc in self._procs:
-            proc.start()
+        self._procs = []
+        if executor == "threads":
+            return
+        ctx = _pick_context(start_method)
+        self._task_q = ctx.Queue()
+        self._result_q = ctx.Queue()
+        self._procs = _spawn(
+            ctx,
+            _worker,
+            (pickle.dumps(self._spec), self._task_q, self._result_q),
+            self.n_workers,
+            "shared-cores",
+        )
 
     # ------------------------------------------------------------- building
     def build_bitvectors(
@@ -348,6 +464,13 @@ class SharedCoresEngine:
             return build_bitvectors(
                 flat, binning, chunk_elements=self._spec.chunk_elements
             )
+        if self.executor == "threads":
+            return build_bitvectors_parallel(
+                flat,
+                binning,
+                n_workers=self.n_workers,
+                chunk_elements=self._spec.chunk_elements,
+            )
         blocks = group_aligned_partitions(flat.size, self.n_workers)
         shm_name = self._slab.write(flat)
         self._seq += 1
@@ -357,8 +480,8 @@ class SharedCoresEngine:
         for block_id, block in enumerate(blocks):
             self._task_q.put(
                 (
-                    self._seq,
-                    block_id,
+                    (self._seq, block_id),
+                    None,
                     shm_name,
                     flat.dtype.str,
                     block.start,
@@ -370,7 +493,7 @@ class SharedCoresEngine:
         failure: BaseException | None = None
         while len(parts) < len(blocks):
             try:
-                seq, block_id, exc_blob, buffers = self._result_q.get(
+                (seq, block_id), exc_blob, result = self._result_q.get(
                     timeout=_POLL_SECONDS
                 )
             except _queue_mod.Empty:
@@ -382,7 +505,7 @@ class SharedCoresEngine:
                 failure = failure or _load_exc(exc_blob)
                 parts[block_id] = (0, [])  # placeholder to finish the drain
             else:
-                parts[block_id] = buffers
+                parts[block_id] = result[1]
         if failure is not None:
             raise failure
         return stitch_buffer_parts([parts[b] for b in range(len(blocks))])
@@ -395,60 +518,29 @@ class SharedCoresEngine:
         vectors = self.build_bitvectors(flat, binning=binning)
         return BitmapIndex(binning, vectors, flat.size)
 
+    def submit(
+        self, step_id: int, payload: np.ndarray, *, binning: Binning | None = None
+    ) -> BitmapIndex:
+        return self.build_index(payload, binning=binning)
+
+    def finish(self) -> dict[int, BitmapIndex]:
+        return {}
+
     # ------------------------------------------------------------ lifecycle
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
-        for _ in self._procs:
-            try:
-                self._task_q.put(None)
-            except (ValueError, OSError):  # pragma: no cover - queue gone
-                break
-        for proc in self._procs:
-            proc.join(timeout=_JOIN_SECONDS)
-            if proc.is_alive():  # pragma: no cover - stuck worker
-                proc.terminate()
-                proc.join(timeout=_JOIN_SECONDS)
-        for q in (self._task_q, self._result_q):
-            q.close()
-            q.join_thread()
+        if self._procs:
+            _stop(self._procs, self._task_q)
+            for q in (self._task_q, self._result_q):
+                q.close()
+                q.join_thread()
         self._slab.close()
-
-    def __enter__(self) -> "SharedCoresEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC safety net
-        try:
-            self.close()
-        except Exception:
-            pass
-
-
-def build_bitvectors_processes(
-    data: np.ndarray,
-    binning: Binning,
-    *,
-    n_workers: int,
-    chunk_elements: int = 1 << 20,
-) -> list[WAHBitVector]:
-    """One-shot process-parallel build (pays pool start-up per call).
-
-    :func:`repro.bitmap.builder.build_bitvectors_parallel` with
-    ``executor='processes'`` lands here; hold a
-    :class:`SharedCoresEngine` open instead when building many steps.
-    """
-    with SharedCoresEngine(
-        n_workers, binning, chunk_elements=chunk_elements
-    ) as engine:
-        return engine.build_bitvectors(data)
 
 
 # ----------------------------------------------------------- Separate Cores
-class SeparateCoresEngine:
+class SeparateCoresEngine(_PoolEngine):
     """Bounded shared-memory ring between the simulation and encoder pool.
 
     The parent (simulation) calls :meth:`submit` per step: it blocks while
@@ -507,18 +599,13 @@ class SeparateCoresEngine:
         self._in_flight = 0
         self._closed = False
         self._finished = False
-        spec_blob = pickle.dumps(self._spec)
-        self._procs = [
-            ctx.Process(
-                target=_separate_cores_worker,
-                args=(spec_blob, self._task_q, self._result_q, self._free_q),
-                name=f"separate-cores-{i}",
-                daemon=True,
-            )
-            for i in range(self.n_workers)
-        ]
-        for proc in self._procs:
-            proc.start()
+        self._procs = _spawn(
+            ctx,
+            _worker,
+            (pickle.dumps(self._spec), self._task_q, self._result_q, self._free_q),
+            self.n_workers,
+            "separate-cores",
+        )
         # Results are drained continuously so workers never block on a
         # full result pipe and in-flight accounting stays current.
         self._collector = threading.Thread(
@@ -532,14 +619,14 @@ class SeparateCoresEngine:
             msg = self._result_q.get()
             if msg is None:
                 return
-            kind, step_id, payload = msg
+            step_id, exc_blob, result = msg
             with self._lock:
                 self._in_flight -= 1
-                if kind == "ok":
-                    self._results[step_id] = payload
+                if exc_blob is None:
+                    self._results[step_id] = result
                     self.stats.gets += 1
                 elif self._failure is None:
-                    self._failure = _load_exc(payload)
+                    self._failure = _load_exc(exc_blob)
 
     def _check_failed(self, message: str) -> None:
         with self._lock:
@@ -583,18 +670,17 @@ class SeparateCoresEngine:
                     break
                 except _queue_mod.Empty:
                     continue
-        shm = self._slots[slot_id].ensure(flat.nbytes)
-        view = np.ndarray(flat.shape, dtype=flat.dtype, buffer=shm.buf)
-        view[:] = flat
+        shm_name = self._slots[slot_id].write(flat)
         with self._lock:
             self._in_flight += 1
             self.stats.max_depth = max(self.stats.max_depth, self._in_flight)
         self._task_q.put(
             (
-                slot_id,
                 int(step_id),
-                shm.name,
+                slot_id,
+                shm_name,
                 flat.dtype.str,
+                0,
                 flat.size,
                 pickle.dumps(binning) if binning is not None else None,
             )
@@ -613,20 +699,13 @@ class SeparateCoresEngine:
         """Close the ring, drain the pool, and return step -> index.
 
         Re-raises the first worker exception (original type and args)
-        after the pool has drained, mirroring ``run_threaded``.
+        after the pool has drained, mirroring
+        :class:`ThreadedSeparateCoresEngine`.
         """
         if self._finished:
             raise RuntimeError("finish() already called")
         self._finished = True
-        for _ in self._procs:
-            self._task_q.put(None)
-        deadline_misses = 0
-        for proc in self._procs:
-            proc.join(timeout=_JOIN_SECONDS)
-            if proc.is_alive():  # pragma: no cover - stuck worker
-                proc.terminate()
-                proc.join(timeout=_JOIN_SECONDS)
-                deadline_misses += 1
+        deadline_misses = _stop(self._procs, self._task_q)
         self._result_q.put(None)  # parent's sentinel lands after worker output
         self._collector.join(timeout=_JOIN_SECONDS)
         if self._failure is not None:
@@ -668,14 +747,88 @@ class SeparateCoresEngine:
         for slab in self._slots:
             slab.close()
 
-    def __enter__(self) -> "SeparateCoresEngine":
-        return self
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+# -------------------------------------------------- Separate Cores, threaded
+class _Task(NamedTuple):
+    """One queued step; ``nbytes`` is what the queue's byte bound counts."""
 
-    def __del__(self) -> None:  # pragma: no cover - GC safety net
-        try:
-            self.close()
-        except Exception:
-            pass
+    step_id: int
+    payload: np.ndarray
+    binning: Binning
+
+    @property
+    def nbytes(self) -> int:
+        return self.payload.nbytes
+
+
+class ThreadedSeparateCoresEngine:
+    """Separate Cores on threads: a bounded data queue feeds a worker pool.
+
+    :meth:`submit` blocks while ``capacity_bytes`` of payload are queued
+    (the paper's memory-capacity backpressure, counted in :attr:`stats`).
+    A failing worker poisons the queue, so a producer blocked on it raises
+    :class:`~repro.insitu.queue.QueueFailed` instead of deadlocking, and
+    :meth:`finish` re-raises the worker's original exception.
+    """
+
+    def __init__(
+        self,
+        *,
+        n_workers: int,
+        capacity_bytes: int,
+        chunk_elements: int = 1 << 20,
+    ) -> None:
+        self.chunk_elements = chunk_elements
+        self._queue = BoundedDataQueue(capacity_bytes)
+        self.stats = self._queue.stats
+        self._results: dict[int, BitmapIndex] = {}
+        self._errors: list[BaseException] = []
+        self._lock = threading.Lock()
+        self._threads = [
+            threading.Thread(target=self._work, name=f"bitmap-worker-{i}")
+            for i in range(max(1, n_workers))
+        ]
+        for t in self._threads:
+            t.start()
+
+    def _work(self) -> None:
+        while True:
+            try:
+                task = self._queue.get()
+            except QueueClosed:  # includes QueueFailed poisoning
+                return
+            try:
+                index = BitmapIndex.build(
+                    task.payload, task.binning, chunk_elements=self.chunk_elements
+                )
+                with self._lock:
+                    self._results[task.step_id] = index
+            except BaseException as exc:  # re-raised by finish()
+                with self._lock:
+                    self._errors.append(exc)
+                # Wake a producer blocked on a full queue (and sibling
+                # workers blocked on an empty one) so the run tears down
+                # instead of deadlocking once every worker has died.
+                self._queue.fail(exc)
+                return
+
+    def submit(self, step_id: int, payload: np.ndarray, *, binning: Binning) -> None:
+        self._queue.put(_Task(int(step_id), payload, binning))
+
+    @property
+    def resident_bytes(self) -> int:
+        return self._queue.resident_bytes
+
+    def finish(self) -> dict[int, BitmapIndex]:
+        """Drain the pool; returns step -> index or re-raises a failure."""
+        self._queue.close()
+        for t in self._threads:
+            t.join()
+        if self._errors:
+            raise self._errors[0]
+        return self._results
+
+    def close(self) -> None:
+        self._queue.fail(QueueClosed("engine closed"))
+        for t in self._threads:
+            t.join()

@@ -1,6 +1,6 @@
 """The in-situ analysis pipeline (Figure 2 end-to-end).
 
-One driver, three reduction modes matching the methods §5 compares:
+Three reduction modes matching the methods §5 compares:
 
 * ``bitmap``   -- simulate -> build a compressed bitmap index per step ->
   **discard the raw data** -> select K of N on bitmaps -> write only the
@@ -10,41 +10,47 @@ One driver, three reduction modes matching the methods §5 compares:
 * ``sampling`` -- simulate -> down-sample -> select on samples -> write
   the selected samples (the §5.5 baseline).
 
+One step loop runs every configuration: simulate -> payload -> (row
+ordering) -> build engine (:mod:`repro.insitu.parallel`) -> batch or
+streaming selector -> write.  :meth:`InSituPipeline.run`,
+:meth:`~InSituPipeline.run_parallel` and :meth:`~InSituPipeline.run_streaming`
+only configure it, and :func:`check_combination` is the one rule
+deciding which configurations run; every configuration it accepts writes
+the same store as :meth:`InSituPipeline.run`.
+
 Each phase is wall-clock timed into the same decomposition the paper's
 stacked bars use (simulate / reduce / select / output), and a
 :class:`~repro.insitu.memory.MemoryTracker` records the resident-set
-categories of Figure 11.
-
-:meth:`InSituPipeline.run_threaded` additionally executes the *Separate
-Cores* strategy for real: the simulation runs on the caller thread, bitmap
-construction on a worker pool, and a bounded
-:class:`~repro.insitu.queue.BoundedDataQueue` provides the paper's
-memory-capacity backpressure.
-
-:meth:`InSituPipeline.run_parallel` is the multi-core engine: it executes
-either strategy on **processes** (threads remain an escape hatch) through
-the shared-memory engines of :mod:`repro.insitu.parallel`, producing
-bitmaps bit-identical to :meth:`InSituPipeline.run` with real wall-clock
-speedup on multi-core hosts.
+categories of Figure 11.  For an asynchronous engine the reduce phase is
+the time the simulation waits on it.
 """
 
 from __future__ import annotations
 
-import threading
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Literal
 
 import numpy as np
 
-from repro.bitmap.binning import Binning
+from repro.bitmap.adaptive import aligned_metric
+from repro.bitmap.binning import Binning, PrecisionBinning
 from repro.bitmap.index import BitmapIndex
+from repro.bitmap.ordering import ORDERING_METHODS, compute_ordering
 from repro.insitu.allocation import (
     SeparateCores,
     SharedCores,
     equation_1_2_allocation,
 )
 from repro.insitu.memory import MemoryTracker
-from repro.insitu.queue import BoundedDataQueue, QueueClosed, QueueFailed
+from repro.insitu.parallel import (
+    BuildEngine,
+    InlineEngine,
+    SeparateCoresEngine,
+    SharedCoresEngine,
+    ThreadedSeparateCoresEngine,
+)
+from repro.insitu.queue import QueueFailed
 from repro.insitu.sampling import Sampler
 from repro.insitu.writer import OutputWriter
 from repro.selection.greedy import (
@@ -54,19 +60,75 @@ from repro.selection.greedy import (
     select_timesteps_full,
 )
 from repro.selection.metrics import SelectionMetric
+from repro.selection.streaming import StreamingSelector
 from repro.sims.base import Simulation, TimeStepData
 from repro.util.timing import TimeBreakdown
 
 ReductionMode = Literal["bitmap", "fulldata", "sampling"]
+EngineKind = Literal["inline", "shared", "separate"]
 
 #: Extracts the analysis payload from a step (default: all fields
 #: concatenated, the §5.1 Lulesh convention; single-field sims are
 #: unaffected).
 PayloadFn = Callable[[TimeStepData], np.ndarray]
 
+#: Timed phase of each mode's reduction; full data keeps the payload as is.
+_REDUCE_PHASE = {"bitmap": "reduce_bitmap", "sampling": "reduce_sample"}
+
 
 def default_payload(step: TimeStepData) -> np.ndarray:
     return step.concatenated()
+
+
+class UnsupportedCombination(ValueError):
+    """A pipeline configuration that :func:`check_combination` rejects."""
+
+
+def check_combination(
+    pipe: "InSituPipeline",
+    engine: EngineKind = "inline",
+    *,
+    resume: int = 0,
+    n_steps: int | None = None,
+    streaming: bool = False,
+) -> None:
+    """The one rule: raise :class:`UnsupportedCombination` unless ``pipe``
+    can run on ``engine`` with a ``resume``-step prefix (and streaming).
+
+    Every combination not listed here runs, on every engine, and writes
+    the store the inline engine writes.
+    """
+    mode, ordering = pipe.mode, pipe.ordering_method
+    # aligned_metric renames "emd_spatial" to "emd_spatial@adaptive".
+    metric = pipe.metric.name.split("@")[0]
+    rules = [
+        (mode == "sampling" and pipe.sampler is None,
+         "sampling mode needs a Sampler"),
+        (pipe.binning is None and mode != "bitmap",
+         "adaptive binning (binning=None) is only defined for bitmap mode; "
+         "full-data/sampling metrics need a declared scale"),
+        (ordering is not None and ordering not in ORDERING_METHODS,
+         f"unknown ordering method {ordering!r} "
+         f"(known: {list(ORDERING_METHODS)})"),
+        # Spatial-unit popcounts are not invariant under a row permutation;
+        # every other built-in metric (count-based EMD, MI, CE) is, because
+        # all steps of a run share one ordering.
+        (ordering is not None and metric == "emd_spatial",
+         "emd_spatial is not permutation-invariant; pick a count-based "
+         "metric or drop ordering"),
+        (mode != "bitmap"
+         and (ordering is not None or engine != "inline" or resume or streaming),
+         "row ordering, parallel engines, resume and streaming are defined "
+         "for bitmap mode only"),
+        (n_steps is not None and resume > n_steps,
+         f"resume prefix of {resume} steps exceeds n_steps={n_steps}"),
+        (streaming and engine == "separate",
+         "streaming needs an engine whose submit returns the index; "
+         "separate cores hands indices back only at finish"),
+    ]
+    for broken, message in rules:
+        if broken:
+            raise UnsupportedCombination(message)
 
 
 @dataclass
@@ -116,34 +178,6 @@ class InSituPipeline:
         adaptive_digits: int = 1,
         ordering: str | None = None,
     ) -> None:
-        if mode == "sampling" and sampler is None:
-            raise ValueError("sampling mode needs a Sampler")
-        if binning is None and mode != "bitmap":
-            raise ValueError(
-                "adaptive binning (binning=None) is only defined for bitmap "
-                "mode; full-data/sampling metrics need a declared scale"
-            )
-        if ordering is not None:
-            from repro.bitmap.ordering import ORDERING_METHODS
-
-            if ordering not in ORDERING_METHODS:
-                raise ValueError(
-                    f"unknown ordering method {ordering!r} "
-                    f"(known: {list(ORDERING_METHODS)})"
-                )
-            if mode != "bitmap":
-                raise ValueError(
-                    "row ordering reorders bitmap encoding; it is only "
-                    "defined for bitmap mode"
-                )
-            if metric.name == "emd_spatial":
-                # Spatial-unit popcounts are not invariant under a row
-                # permutation; every other built-in metric (count-based
-                # EMD, MI, CE) is, because all steps share one ordering.
-                raise ValueError(
-                    "emd_spatial is not permutation-invariant; pick a "
-                    "count-based metric or drop ordering"
-                )
         self.simulation = simulation
         self.binning = binning
         self.mode: ReductionMode = mode
@@ -152,29 +186,21 @@ class InSituPipeline:
         self.payload_fn = payload_fn
         self.partitioning: Partitioning = partitioning
         self.build_method = build_method
+        #: Row ordering method; the permutation itself is computed from
+        #: each run's first built step and shared by all of its steps, which
+        #: leaves cross-step joint popcounts (the selection metrics) exactly
+        #: invariant.
         self.ordering_method = ordering
-        #: Run-level row ordering, computed from the *first* step's
-        #: payload and reused for every later step: a permutation shared
-        #: by all steps leaves cross-step joint popcounts (the selection
-        #: metrics) exactly invariant, while a per-step permutation would
-        #: silently break row alignment between steps.
-        self._ordering = None
-        self._ordering_lock = threading.Lock()
-        if binning is None:
-            # Per-step tick-aligned binning (§5.1's 64-206 bins regime):
-            # each step is indexed under its own minimal range; selection
-            # metrics align ticks pairwise.
-            from repro.bitmap.adaptive import AdaptivePrecisionIndexer, aligned_metric
+        # binning=None: per-step tick-aligned binning (§5.1's 64-206 bins
+        # regime); selection metrics align ticks pairwise.
+        self.adaptive_digits = adaptive_digits
+        self.metric = metric if binning is not None else aligned_metric(metric)
+        check_combination(self)
+        self._inline = InlineEngine(
+            mode=mode, sampler=sampler, build_method=build_method
+        )
 
-            self._indexer = AdaptivePrecisionIndexer(
-                digits=adaptive_digits, method=build_method
-            )
-            self.metric = aligned_metric(metric)
-        else:
-            self._indexer = None
-            self.metric = metric
-
-    # ----------------------------------------------------------- sequential
+    # ------------------------------------------------------------- drivers
     def run(
         self,
         n_steps: int,
@@ -194,149 +220,11 @@ class InSituPipeline:
         selection an uninterrupted run would.  Bitmap mode only -- the
         other modes retain raw/sampled arrays, which no checkpoint holds.
         """
-        timings = TimeBreakdown()
-        memory = MemoryTracker()
-        memory.set("simulation_substrate", max(self.simulation.substrate_nbytes, 1))
-
-        artifacts: list[object] = []
-        artifact_bytes: list[int] = []
-        steps_meta: list[int] = []
-        payload_sizes: list[int] = []
-
-        if resume:
-            if self.mode != "bitmap":
-                raise ValueError("resume is defined for bitmap mode only")
-            if len(resume) > n_steps:
-                raise ValueError(
-                    f"resume prefix of {len(resume)} steps exceeds "
-                    f"n_steps={n_steps}"
-                )
-            with timings.timed("simulate"):
-                self.simulation.skip(len(resume))
-            for step_id, index in resume:
-                artifacts.append(index)
-                artifact_bytes.append(index.nbytes)
-                steps_meta.append(step_id)
-                payload_sizes.append(index.n_elements)
-                memory.add("retained_window", index.nbytes)
-
-        for _ in range(n_steps - len(steps_meta)):
-            with timings.timed("simulate"):
-                step = self.simulation.advance()
-            payload = self.payload_fn(step)
-            steps_meta.append(step.step)
-            payload_sizes.append(payload.size)
-            if self.mode != "fulldata":
-                # Raw data is resident only while being reduced -- the
-                # in-situ memory win.  (In fulldata mode the payload *is*
-                # the retained artifact; counting it here too would
-                # double-book one step.)
-                memory.set("current_step_raw", payload.nbytes)
-
-            artifact, nbytes, _phase = self._reduce(payload, timings)
-            artifacts.append(artifact)
-            artifact_bytes.append(nbytes)
-            memory.add("retained_window", nbytes)
-        memory.release("current_step_raw")
-
-        selection = self._select(artifacts, select_k, timings)
-        bytes_written = self._write(
-            artifacts, steps_meta, selection, timings, payload_sizes=payload_sizes
-        )
-        return PipelineResult(
-            self.mode, timings, selection, memory, bytes_written, artifact_bytes
+        return self._loop(
+            n_steps, select_k, "inline", lambda *_: self._inline,
+            resume=resume or [],
         )
 
-    # ------------------------------------------------------------- threaded
-    def run_threaded(
-        self,
-        n_steps: int,
-        select_k: int,
-        *,
-        queue_capacity_bytes: int,
-        n_workers: int = 1,
-    ) -> PipelineResult:
-        """Separate-Cores execution: simulation and reduction overlap.
-
-        Only meaningful for ``mode='bitmap'`` (the strategy exists to hide
-        bitmap-construction time behind the simulation).
-        """
-        if self.mode != "bitmap":
-            raise ValueError("threaded execution is defined for bitmap mode")
-        timings = TimeBreakdown()
-        memory = MemoryTracker()
-        memory.set("simulation_substrate", max(self.simulation.substrate_nbytes, 1))
-        queue = BoundedDataQueue(queue_capacity_bytes)
-        results: dict[int, tuple[BitmapIndex, int]] = {}
-        errors: list[BaseException] = []
-        lock = threading.Lock()
-
-        def worker() -> None:
-            while True:
-                try:
-                    step = queue.get()
-                except QueueClosed:  # includes QueueFailed poisoning
-                    return
-                try:
-                    payload = self.payload_fn(step)
-                    index = self._build_index(payload)
-                    with lock:
-                        results[step.step] = (index, index.nbytes)
-                except BaseException as exc:  # surfaced after join
-                    with lock:
-                        errors.append(exc)
-                    # Poison the queue so a producer blocked on a full
-                    # queue (and sibling workers blocked on an empty one)
-                    # wake up and tear down instead of deadlocking once
-                    # every worker has died.
-                    queue.fail(exc)
-                    return
-
-        workers = [
-            threading.Thread(target=worker, name=f"bitmap-worker-{i}")
-            for i in range(max(1, n_workers))
-        ]
-        for t in workers:
-            t.start()
-
-        import time as _time
-
-        t0 = _time.perf_counter()
-        order: list[int] = []
-        try:
-            for _ in range(n_steps):
-                with timings.timed("simulate"):
-                    step = self.simulation.advance()
-                order.append(step.step)
-                queue.put(step)
-                memory.set("queue", queue.resident_bytes)
-            queue.close()
-        except QueueFailed:
-            # A worker died and poisoned the queue; the original exception
-            # is re-raised below once the pool has drained.
-            pass
-        for t in workers:
-            t.join()
-        if errors:
-            raise errors[0]
-        wall = _time.perf_counter() - t0
-        # Bitmap time overlapped with simulation: report the *extra* wall
-        # time beyond simulation as the visible reduction cost.
-        timings.add("reduce_bitmap", max(0.0, wall - timings.phases.get("simulate", 0.0)))
-
-        artifacts = [results[s][0] for s in order]
-        artifact_bytes = [results[s][1] for s in order]
-        for nbytes in artifact_bytes:
-            memory.add("retained_window", nbytes)
-        selection = self._select(artifacts, select_k, timings)
-        bytes_written = self._write(artifacts, order, selection, timings)
-        result = PipelineResult(
-            self.mode, timings, selection, memory, bytes_written, artifact_bytes
-        )
-        result.queue_stats = queue.stats
-        return result
-
-    # ------------------------------------------------------------- parallel
     def run_parallel(
         self,
         n_steps: int,
@@ -351,19 +239,15 @@ class InSituPipeline:
     ) -> PipelineResult:
         """Multi-core execution of either §2.3 core-allocation strategy.
 
-        Row ordering is not supported here: the shared-memory engines
-        build from spatially-partitioned slabs whose stitching assumes
-        simulation order.  Use :meth:`run` / :meth:`run_threaded` with
-        ``ordering=``, or build ordered indices directly.
-
         ``allocation`` picks the strategy: a
         :class:`~repro.insitu.allocation.SharedCores` runs every step's
         build spatially partitioned across all workers, a
         :class:`~repro.insitu.allocation.SeparateCores` overlaps the
-        parent-side simulation with a persistent encoder pool
-        (``bitmap_cores`` workers) behind a bounded shared-memory ring,
-        and ``"auto"`` measures ``calibration_steps`` steps serially and
-        derives the split from the paper's Equations 1-2.  When
+        simulation with a persistent encoder pool (``bitmap_cores``
+        workers) behind a bounded queue of ``queue_capacity_bytes``, and
+        ``"auto"`` builds the first ``calibration_steps`` steps inline,
+        then derives a Separate Cores split of ``n_workers`` cores from
+        their phase times with the paper's Equations 1-2.  When
         ``allocation`` is omitted, ``n_workers`` selects Shared Cores
         with that many workers.
 
@@ -372,229 +256,70 @@ class InSituPipeline:
         ``'threads'`` is the GIL-bound escape hatch (lower overhead for
         tiny steps, no multi-core speedup for the Python fraction).
 
-        Bitmaps are bit-identical to :meth:`run` in every configuration
-        (the parallel builders use the vectorised kernel, as does
-        :meth:`run` by default; ``build_method='online'`` runs are
-        word-identical too, by construction).
+        Stores are byte-identical to :meth:`run` in every configuration,
+        row ordering and adaptive binning included.
         """
-        if self.mode != "bitmap":
-            raise ValueError("parallel execution is defined for bitmap mode")
-        if self.ordering_method is not None:
-            raise ValueError(
-                "row ordering is not supported by the parallel engines; "
-                "use run()/run_threaded() or BitmapIndex.build(ordering=...)"
-            )
         if executor not in ("threads", "processes"):
             raise ValueError(f"unknown executor {executor!r}")
-        prebuilt: list[tuple[int, BitmapIndex]] = []
-        pre_timings = TimeBreakdown()
         if allocation is None:
             if n_workers is None:
                 raise ValueError("pass allocation=... or n_workers=...")
             allocation = SharedCores(n_workers)
-        elif allocation == "auto":
+        calibrate = 0
+        if allocation == "auto":
             if n_workers is None:
                 raise ValueError("allocation='auto' needs n_workers (total cores)")
-            total = n_workers
-            probe = min(max(1, calibration_steps), n_steps)
-            for _ in range(probe):
-                with pre_timings.timed("simulate"):
-                    step = self.simulation.advance()
-                payload = self.payload_fn(step)
-                with pre_timings.timed("reduce_bitmap"):
-                    index = self._build_index(payload)
-                prebuilt.append((step.step, index))
-            allocation = equation_1_2_allocation(
-                total,
-                pre_timings.phases["simulate"] / probe,
-                pre_timings.phases["reduce_bitmap"] / probe,
-            )
-            n_steps -= probe
-        if isinstance(allocation, SharedCores):
-            if prebuilt:
-                raise ValueError("'auto' calibration always yields SeparateCores")
-            return self._run_parallel_shared(
-                n_steps, select_k, allocation,
-                executor=executor, chunk_elements=chunk_elements,
-            )
-        if isinstance(allocation, SeparateCores):
-            if executor == "threads":
-                if prebuilt:
-                    raise ValueError(
-                        "allocation='auto' is only supported with processes"
-                    )
-                return self.run_threaded(
-                    n_steps,
-                    select_k,
-                    queue_capacity_bytes=queue_capacity_bytes
-                    or 4 * max(self.simulation.bytes_per_step, 1),
-                    n_workers=allocation.bitmap_cores,
+            calibrate = min(max(1, calibration_steps), n_steps)
+        elif not isinstance(allocation, (SharedCores, SeparateCores)):
+            raise ValueError(f"unknown allocation {allocation!r}")
+
+        def open_engine(payload: np.ndarray, timings: TimeBreakdown) -> BuildEngine:
+            strategy = allocation
+            if strategy == "auto":
+                # The loop opens the engine after simulating the first
+                # post-calibration step, so simulate covers one more step.
+                strategy = equation_1_2_allocation(
+                    n_workers,
+                    timings.phases["simulate"] / (calibrate + 1),
+                    timings.phases["reduce_bitmap"] / calibrate,
                 )
-            return self._run_parallel_separate(
-                n_steps, select_k, allocation,
-                queue_capacity_bytes=queue_capacity_bytes,
+            if isinstance(strategy, SharedCores):
+                return SharedCoresEngine(
+                    strategy.total_cores, self.binning,
+                    executor=executor, chunk_elements=chunk_elements,
+                )
+            slot_nbytes = max(payload.nbytes, 1)
+            if executor == "threads":
+                return ThreadedSeparateCoresEngine(
+                    n_workers=strategy.bitmap_cores,
+                    capacity_bytes=queue_capacity_bytes or 4 * slot_nbytes,
+                    chunk_elements=chunk_elements,
+                )
+            if queue_capacity_bytes:
+                # Respect the byte bound, but cap the slot count: each
+                # slot is one shared-memory segment, and past a few per
+                # worker more buffering adds nothing.
+                n_slots = min(
+                    max(2, int(queue_capacity_bytes) // slot_nbytes),
+                    max(8, 4 * strategy.bitmap_cores),
+                )
+            else:
+                n_slots = strategy.bitmap_cores + 1
+            return SeparateCoresEngine(
+                self.binning,
+                n_workers=strategy.bitmap_cores,
+                slot_nbytes=slot_nbytes,
+                n_slots=n_slots,
                 chunk_elements=chunk_elements,
-                prebuilt=prebuilt, pre_timings=pre_timings,
             )
-        raise ValueError(f"unknown allocation {allocation!r}")
 
-    def _parallel_spec(self) -> tuple[Binning | None, int]:
-        """(fixed binning or None for adaptive, adaptive digits)."""
-        if self._indexer is not None:
-            return None, self._indexer.digits
-        return self.binning, 1
-
-    def _run_parallel_shared(
-        self,
-        n_steps: int,
-        select_k: int,
-        allocation: SharedCores,
-        *,
-        executor: str,
-        chunk_elements: int,
-    ) -> PipelineResult:
-        """Shared Cores: phases alternate, every build spatially split."""
-        from repro.bitmap.builder import build_bitvectors_parallel
-
-        timings = TimeBreakdown()
-        memory = MemoryTracker()
-        memory.set("simulation_substrate", max(self.simulation.substrate_nbytes, 1))
-        binning, _digits = self._parallel_spec()
-
-        engine = None
-        if executor == "processes":
-            from repro.insitu.parallel import SharedCoresEngine
-
-            engine = SharedCoresEngine(
-                allocation.total_cores, binning, chunk_elements=chunk_elements
-            )
-        artifacts: list[BitmapIndex] = []
-        artifact_bytes: list[int] = []
-        steps_meta: list[int] = []
-        try:
-            for _ in range(n_steps):
-                with timings.timed("simulate"):
-                    step = self.simulation.advance()
-                payload = self.payload_fn(step)
-                steps_meta.append(step.step)
-                memory.set("current_step_raw", payload.nbytes)
-                with timings.timed("reduce_bitmap"):
-                    step_binning = (
-                        binning
-                        if binning is not None
-                        else self._indexer.binning_for(payload)
-                    )
-                    if engine is not None:
-                        index = engine.build_index(payload, binning=step_binning)
-                    else:
-                        vectors = build_bitvectors_parallel(
-                            payload,
-                            step_binning,
-                            n_workers=allocation.total_cores,
-                            chunk_elements=chunk_elements,
-                            executor="threads",
-                        )
-                        index = BitmapIndex(step_binning, vectors, payload.size)
-                artifacts.append(index)
-                artifact_bytes.append(index.nbytes)
-                memory.add("retained_window", index.nbytes)
-        finally:
-            if engine is not None:
-                engine.close()
-        memory.release("current_step_raw")
-        selection = self._select(artifacts, select_k, timings)
-        bytes_written = self._write(artifacts, steps_meta, selection, timings)
-        return PipelineResult(
-            self.mode, timings, selection, memory, bytes_written, artifact_bytes
+        kind: EngineKind = (
+            "shared" if isinstance(allocation, SharedCores) else "separate"
+        )
+        return self._loop(
+            n_steps, select_k, kind, open_engine, calibrate=calibrate
         )
 
-    def _run_parallel_separate(
-        self,
-        n_steps: int,
-        select_k: int,
-        allocation: SeparateCores,
-        *,
-        queue_capacity_bytes: int | None,
-        chunk_elements: int,
-        prebuilt: list[tuple[int, BitmapIndex]],
-        pre_timings: TimeBreakdown,
-    ) -> PipelineResult:
-        """Separate Cores on processes: simulation overlaps a bounded
-        shared-memory encoder ring."""
-        import time as _time
-
-        from repro.insitu.parallel import SeparateCoresEngine
-
-        timings = pre_timings
-        memory = MemoryTracker()
-        memory.set("simulation_substrate", max(self.simulation.substrate_nbytes, 1))
-        binning, digits = self._parallel_spec()
-
-        engine: SeparateCoresEngine | None = None
-        order = [step_id for step_id, _ in prebuilt]
-        results: dict[int, BitmapIndex] = dict(prebuilt)
-        t0 = _time.perf_counter()
-        sim_before = timings.phases.get("simulate", 0.0)
-        try:
-            try:
-                for _ in range(n_steps):
-                    with timings.timed("simulate"):
-                        step = self.simulation.advance()
-                    payload = self.payload_fn(step)
-                    order.append(step.step)
-                    if engine is None:
-                        slot_nbytes = max(payload.nbytes, 1)
-                        if queue_capacity_bytes:
-                            # Respect the byte bound, but cap the slot
-                            # count: each slot is one shared-memory
-                            # segment, and past a few per worker more
-                            # buffering adds nothing.
-                            n_slots = min(
-                                max(2, int(queue_capacity_bytes) // slot_nbytes),
-                                max(8, 4 * allocation.bitmap_cores),
-                            )
-                        else:
-                            n_slots = allocation.bitmap_cores + 1
-                        engine = SeparateCoresEngine(
-                            binning,
-                            n_workers=allocation.bitmap_cores,
-                            slot_nbytes=slot_nbytes,
-                            n_slots=n_slots,
-                            adaptive_digits=digits,
-                            chunk_elements=chunk_elements,
-                        )
-                    engine.submit(step.step, payload)
-                    memory.set("queue", engine.resident_bytes)
-            except QueueFailed:
-                # A worker died and poisoned the ring; finish() below
-                # re-raises the original exception once the pool drains.
-                pass
-            if engine is not None:
-                results.update(engine.finish())
-        finally:
-            if engine is not None:
-                engine.close()
-        wall = _time.perf_counter() - t0
-        # Bitmap time overlapped with simulation: report the *extra* wall
-        # time beyond this phase's simulation share as visible reduction.
-        timings.add(
-            "reduce_bitmap",
-            max(0.0, wall - (timings.phases.get("simulate", 0.0) - sim_before)),
-        )
-
-        artifacts = [results[s] for s in order]
-        artifact_bytes = [idx.nbytes for idx in artifacts]
-        for nbytes in artifact_bytes:
-            memory.add("retained_window", nbytes)
-        selection = self._select(artifacts, select_k, timings)
-        bytes_written = self._write(artifacts, order, selection, timings)
-        result = PipelineResult(
-            self.mode, timings, selection, memory, bytes_written, artifact_bytes
-        )
-        result.queue_stats = engine.stats if engine is not None else None
-        return result
-
-    # ------------------------------------------------------------ streaming
     def run_streaming(self, n_steps: int, select_k: int) -> PipelineResult:
         """Fully streaming bitmap pipeline: select online, write on commit.
 
@@ -606,157 +331,173 @@ class InSituPipeline:
         to :meth:`run` (greedy only ever looks at the last committed
         step).
         """
-        if self.mode != "bitmap":
-            raise ValueError("streaming execution is defined for bitmap mode")
-        from repro.selection.streaming import StreamingSelector
+        return self._loop(
+            n_steps, select_k, "inline", lambda *_: self._inline,
+            streaming=True,
+        )
 
+    # ----------------------------------------------------------- step loop
+    def _loop(
+        self,
+        n_steps: int,
+        select_k: int,
+        kind: EngineKind,
+        open_engine: Callable[[np.ndarray, TimeBreakdown], BuildEngine],
+        *,
+        resume: list[tuple[int, BitmapIndex]] = (),
+        calibrate: int = 0,
+        streaming: bool = False,
+    ) -> PipelineResult:
+        """Simulate -> payload -> engine -> select -> write, per step.
+
+        ``resume`` steps are already built; the simulation skips them.
+        The first ``calibrate`` steps are built inline before
+        ``open_engine`` opens the run's engine for the rest.  Each built
+        step joins the selection when the engine hands its artifact back.
+        """
+        check_combination(
+            self, kind, resume=len(resume), n_steps=n_steps, streaming=streaming
+        )
         timings = TimeBreakdown()
         memory = MemoryTracker()
         memory.set("simulation_substrate", max(self.simulation.substrate_nbytes, 1))
-
+        phase = _REDUCE_PHASE.get(self.mode)
+        reduce_timer = (lambda: timings.timed(phase)) if phase else nullcontext
+        written_before = self.writer.stats.bytes_written if self.writer else 0
+        step_ids: list[int] = []
+        sizes: list[int] = []  # payload elements (sampling regenerates positions)
+        artifacts: list[object] = []
         artifact_bytes: list[int] = []
-        written_steps: list[int] = []
-        bytes_written = 0
-
-        selector: StreamingSelector[tuple[int, BitmapIndex]] = StreamingSelector(
-            n_steps,
-            select_k,
-            lambda prev, cand: self.metric.bitmap(prev[1], cand[1]),
+        selector = (
+            StreamingSelector(n_steps, select_k, self.metric.bitmap)
+            if streaming
+            else None
         )
-        # Wrap commits so selected bitmaps hit storage immediately.
-        original_commit = selector._commit
+        ordering = next((index.ordering for _, index in resume), None)
 
-        def commit_and_write(step, score, artifact):
-            nonlocal bytes_written
-            original_commit(step, score, artifact)
-            if self.writer is not None and artifact is not None:
-                step_id, index = artifact
-                with timings.timed("output"):
-                    before = self.writer.stats.bytes_written
-                    self.writer.write_bitmap_step(step_id, {"payload": index})
-                    bytes_written += self.writer.stats.bytes_written - before
-                written_steps.append(step_id)
-
-        selector._commit = commit_and_write  # type: ignore[method-assign]
-
-        for _ in range(n_steps):
-            with timings.timed("simulate"):
-                step = self.simulation.advance()
-            payload = self.payload_fn(step)
-            memory.set("current_step_raw", payload.nbytes)
-            with timings.timed("reduce_bitmap"):
-                index = self._build_index(payload)
-            artifact_bytes.append(index.nbytes)
-            with timings.timed("select"):
-                selector.push((step.step, index))
-            # Account what is *actually* resident: the retained artifacts'
-            # own sizes, not the current step's size times a count (bitmap
-            # sizes vary step to step with data compressibility).
-            memory.set(
-                "retained_window",
-                sum(art[1].nbytes for art in selector.resident()),
+        def accept(pos: int, artifact: object) -> None:
+            if ordering is not None and pos >= len(resume):
+                artifact.ordering = ordering
+            nbytes = (
+                self.sampler.sample_bytes(sizes[pos])
+                if self.mode == "sampling"
+                else artifact.nbytes
             )
+            artifact_bytes.append(nbytes)
+            if selector is None:
+                artifacts.append(artifact)
+                memory.add("retained_window", nbytes)
+                return
+            with timings.timed("select"):
+                committed = selector.push(artifact)
+            for done, index in committed:
+                if self.writer is not None and index is not None:
+                    with timings.timed("output"):
+                        self._write_step(step_ids[done], index, sizes[done])
+            # Account what is *actually* resident: the retained artifacts'
+            # own sizes (bitmap sizes vary step to step).
+            memory.set(
+                "retained_window", sum(a.nbytes for a in selector.resident())
+            )
+
+        for pos, (step_id, index) in enumerate(resume):
+            step_ids.append(step_id)
+            sizes.append(index.n_elements)
+            accept(pos, index)
+        with timings.timed("simulate"):
+            self.simulation.skip(len(resume))
+
+        engine: BuildEngine | None = None
+        try:
+            for pos in range(len(resume), n_steps):
+                with timings.timed("simulate"):
+                    step = self.simulation.advance()
+                payload = self.payload_fn(step)
+                binning = self._step_binning(payload)
+                if self.ordering_method is not None:
+                    flat = np.asarray(payload).ravel()
+                    if ordering is None:
+                        ordering = compute_ordering(
+                            [flat], binning, self.ordering_method
+                        )
+                    payload = ordering.apply(flat)
+                step_ids.append(step.step)
+                sizes.append(payload.size)
+                if self.mode != "fulldata":
+                    # Raw data is resident only while being reduced --
+                    # the in-situ memory win.  (In fulldata mode the
+                    # payload *is* the retained artifact.)
+                    memory.set("current_step_raw", payload.nbytes)
+                with reduce_timer():
+                    if pos < calibrate:
+                        current = self._inline
+                    else:
+                        engine = engine or open_engine(payload, timings)
+                        current = engine
+                    artifact = current.submit(pos, payload, binning=binning)
+                if artifact is not None:
+                    accept(pos, artifact)
+                if engine is not None:
+                    memory.set("queue", engine.resident_bytes)
+            if engine is not None:
+                with reduce_timer():
+                    pending = engine.finish()
+                for pos in sorted(pending):
+                    accept(pos, pending[pos])
+        except QueueFailed as exc:
+            # An encoder died and poisoned the queue: surface its exception.
+            raise exc.cause from None
+        finally:
+            if engine is not None:
+                with reduce_timer():
+                    engine.close()
         memory.release("current_step_raw")
+
         with timings.timed("select"):
-            selection = selector.finalize()
+            if selector is not None:
+                selection = selector.finalize()
+            elif self.mode == "bitmap":
+                selection = select_timesteps_bitmap(
+                    artifacts, select_k, self.metric, partitioning=self.partitioning
+                )
+            else:
+                selection = select_timesteps_full(
+                    artifacts, select_k, self.metric, self.binning,
+                    partitioning=self.partitioning,
+                )
+        if self.writer is not None and selector is None:
+            with timings.timed("output"):
+                for pos in selection.selected:
+                    self._write_step(step_ids[pos], artifacts[pos], sizes[pos])
+        bytes_written = (
+            self.writer.stats.bytes_written - written_before if self.writer else 0
+        )
         return PipelineResult(
-            self.mode, timings, selection, memory, bytes_written, artifact_bytes
+            self.mode, timings, selection, memory, bytes_written, artifact_bytes,
+            engine.stats if engine is not None else None,
         )
 
     # -------------------------------------------------------------- phases
+    def _step_binning(self, payload: np.ndarray) -> Binning:
+        if self.binning is not None:
+            return self.binning
+        return PrecisionBinning.from_data(payload, digits=self.adaptive_digits)
+
     def _build_index(self, payload: np.ndarray) -> BitmapIndex:
-        if self.ordering_method is not None:
-            return self._build_ordered_index(payload)
-        if self._indexer is not None:
-            return self._indexer.index(payload)
-        return BitmapIndex.build(payload, self.binning, method=self.build_method)
+        """One step's index as the inline engine builds it (no ordering)."""
+        return self._inline.submit(0, payload, binning=self._step_binning(payload))
 
-    def _build_ordered_index(self, payload: np.ndarray) -> BitmapIndex:
-        from repro.bitmap.ordering import compute_ordering
-
-        flat = np.asarray(payload).ravel()
-        binning = (
-            self._indexer.binning_for(flat)
-            if self._indexer is not None
-            else self.binning
-        )
-        # Locked: run_threaded builds steps concurrently, and two racing
-        # first-steps would compute *different* permutations -- which
-        # breaks the row alignment the selection metrics rely on.
-        with self._ordering_lock:
-            if self._ordering is None or self._ordering.n_rows != flat.size:
-                self._ordering = compute_ordering(
-                    [flat], binning, self.ordering_method
-                )
-            ordering = self._ordering
-        return BitmapIndex.build(
-            flat, binning, method=self.build_method, ordering=ordering
-        )
-
-    def _reduce(self, payload: np.ndarray, timings: TimeBreakdown):
+    def _write_step(self, step_id: int, artifact, n_elements: int) -> None:
         if self.mode == "bitmap":
-            with timings.timed("reduce_bitmap"):
-                index = self._build_index(payload)
-            return index, index.nbytes, "reduce_bitmap"
-        if self.mode == "sampling":
-            assert self.sampler is not None
-            with timings.timed("reduce_sample"):
-                sample = self.sampler.sample(payload)
-            nbytes = self.sampler.sample_bytes(payload.size)
-            return sample, nbytes, "reduce_sample"
-        # fulldata: the "reduction" is keeping everything.
-        return payload, payload.nbytes, "none"
-
-    def _select(
-        self, artifacts: list[object], select_k: int, timings: TimeBreakdown
-    ) -> SelectionResult:
-        with timings.timed("select"):
-            if self.mode == "bitmap":
-                return select_timesteps_bitmap(
-                    artifacts, select_k, self.metric, partitioning=self.partitioning
-                )
-            return select_timesteps_full(
-                artifacts,
-                select_k,
-                self.metric,
-                self.binning,
-                partitioning=self.partitioning,
+            self.writer.write_bitmap_step(step_id, {"payload": artifact})
+        elif self.mode == "sampling":
+            # Positions are regenerated for the *original* payload size
+            # recorded at reduce time; deriving it back from the sample
+            # length and fraction rounds the wrong way for many (size,
+            # fraction) pairs and yields out-of-range positions.
+            positions = self.sampler.positions(n_elements)
+            self.writer.write_sample_step(step_id, positions, {"payload": artifact})
+        else:
+            self.writer.write_raw_step(
+                TimeStepData(step_id, {"payload": np.asarray(artifact)})
             )
-
-    def _write(
-        self,
-        artifacts: list[object],
-        steps_meta: list[int],
-        selection: SelectionResult,
-        timings: TimeBreakdown,
-        *,
-        payload_sizes: list[int] | None = None,
-    ) -> int:
-        if self.writer is None:
-            return 0
-        before = self.writer.stats.bytes_written
-        with timings.timed("output"):
-            for pos in selection.selected:
-                step_id = steps_meta[pos]
-                artifact = artifacts[pos]
-                if self.mode == "bitmap":
-                    self.writer.write_bitmap_step(step_id, {"payload": artifact})
-                elif self.mode == "sampling":
-                    assert self.sampler is not None
-                    # Positions must be regenerated for the *original*
-                    # payload size recorded at reduce time; deriving it
-                    # back from the sample length and fraction rounds the
-                    # wrong way for many (size, fraction) pairs and yields
-                    # out-of-range positions.
-                    assert payload_sizes is not None, (
-                        "sampling mode requires per-step payload sizes"
-                    )
-                    positions = self.sampler.positions(payload_sizes[pos])
-                    self.writer.write_sample_step(
-                        step_id, positions, {"payload": artifact}
-                    )
-                else:
-                    self.writer.write_raw_step(
-                        TimeStepData(step_id, {"payload": np.asarray(artifact)})
-                    )
-        return self.writer.stats.bytes_written - before

@@ -49,7 +49,9 @@ class QueueStats:
 
 
 class BoundedDataQueue:
-    """Byte-bounded FIFO of :class:`TimeStepData`.
+    """Byte-bounded FIFO of :class:`TimeStepData` (or any item with an
+    ``nbytes`` size, such as the payload tasks of
+    :class:`~repro.insitu.parallel.ThreadedSeparateCoresEngine`).
 
     ``capacity_bytes`` limits the *sum* of queued steps' sizes; a single
     step larger than the capacity is still accepted when the queue is

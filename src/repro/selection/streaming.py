@@ -37,7 +37,8 @@ class StreamingSelector(Generic[Artifact]):
 
         sel = StreamingSelector(n_steps=100, k=25, distinctness=score)
         for artifact in stream:     # bitmaps arriving step by step
-            sel.push(artifact)
+            for step, kept in sel.push(artifact):
+                write(step, kept)   # committed: final, safe to persist
         result = sel.finalize()     # == batch greedy selection
     """
 
@@ -78,8 +79,13 @@ class StreamingSelector(Generic[Artifact]):
             out.append(self._best_artifact)
         return out
 
-    def push(self, artifact: Artifact) -> None:
-        """Consume the next time-step's artifact (order is implicit)."""
+    def push(self, artifact: Artifact) -> list[tuple[int, Artifact | None]]:
+        """Consume the next time-step's artifact (order is implicit).
+
+        Returns the ``(step, artifact)`` pairs this push committed to the
+        selection (usually none, at most one), so a caller can write each
+        selected step the moment it is final.
+        """
         if self._finalized:
             raise RuntimeError("selector already finalized")
         step = self._next_step
@@ -87,10 +93,11 @@ class StreamingSelector(Generic[Artifact]):
             raise RuntimeError(f"received more than {self.n_steps} steps")
         self._next_step += 1
 
+        committed = []
         interval = self._intervals[self._interval_idx]
         if step == 0:
             # T0 is committed unconditionally; it seeds the recurrence.
-            self._commit(0, float("nan"), artifact)
+            committed.append(self._commit(0, float("nan"), artifact))
         elif self._interval_idx > 0:
             # Steps after T0 inside interval 0 (k=1 only) are never
             # selectable, so they need no scoring.
@@ -103,19 +110,25 @@ class StreamingSelector(Generic[Artifact]):
 
         # Interval boundary: commit the interval's winner.
         if step == interval.stop - 1 and self._interval_idx > 0:
-            self._commit(self._best_step, self._best_score, self._best_artifact)
+            committed.append(
+                self._commit(self._best_step, self._best_score, self._best_artifact)
+            )
 
         if step == interval.stop - 1 and self._interval_idx + 1 < len(self._intervals):
             self._interval_idx += 1
             self._best_step = -1
             self._best_score = -np.inf
             self._best_artifact = None
+        return committed
 
-    def _commit(self, step: int, score: float, artifact: Artifact | None) -> None:
+    def _commit(
+        self, step: int, score: float, artifact: Artifact | None
+    ) -> tuple[int, Artifact | None]:
         self._selected.append(step)
         self._scores.append(score)
         self._prev_artifact = artifact
         self._best_artifact = None
+        return step, artifact
 
     # ------------------------------------------------------------- result
     def finalize(self) -> SelectionResult:

@@ -1,5 +1,6 @@
 """Tests for the process-parallel generation engines (repro.insitu.parallel)."""
 
+import sys
 import threading
 
 import numpy as np
@@ -12,6 +13,7 @@ from repro.insitu.allocation import SeparateCores, SharedCores
 from repro.insitu.parallel import (
     SeparateCoresEngine,
     SharedCoresEngine,
+    ThreadedSeparateCoresEngine,
     group_aligned_partitions,
 )
 from repro.insitu.pipeline import InSituPipeline
@@ -248,6 +250,41 @@ class TestSeparateCoresEngine:
             SeparateCoresEngine(binning, n_workers=1, slot_nbytes=100, n_slots=0)
 
 
+class TestThreadedSeparateCoresEngine:
+    def test_many_workers_lose_no_step(self, rng):
+        """More worker threads than cores, a queue of three payloads and a
+        tiny switch interval: every step comes back, word-identical."""
+        binning = EqualWidthBinning(0.0, 1.0, 8)
+        payloads = {step: rng.random(1_000 + step) for step in range(40)}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            engine = ThreadedSeparateCoresEngine(
+                n_workers=6, capacity_bytes=3 * 8 * 1_040
+            )
+            try:
+                for step, payload in payloads.items():
+                    engine.submit(step, payload, binning=binning)
+                indices = engine.finish()
+            finally:
+                engine.close()
+        finally:
+            sys.setswitchinterval(interval)
+        assert engine.stats.puts == engine.stats.gets == 40
+        assert set(indices) == set(payloads)
+        for step, payload in payloads.items():
+            assert indices[step].bitvectors == build_bitvectors(payload, binning)
+
+    def test_shared_cores_threads_matches_serial(self, rng):
+        data = rng.random(12_345)
+        binning = EqualWidthBinning(0.0, 1.0, 12)
+        with SharedCoresEngine(3, binning, executor="threads") as engine:
+            assert engine.submit(0, data).bitvectors == build_bitvectors(
+                data, binning
+            )
+            assert engine.finish() == {}
+
+
 def _baseline(n_steps: int = 10, select_k: int = 3):
     sim = Heat3D((8, 8, 8), seed=11)
     pipe = InSituPipeline(
@@ -326,17 +363,6 @@ class TestRunParallel:
             results.append(runner(pipe, 8, 2))
         for result in results[1:]:
             self._assert_equivalent(result, results[0])
-
-    def test_requires_bitmap_mode(self):
-        sim = Heat3D((8, 8, 8), seed=1)
-        pipe = InSituPipeline(
-            sim,
-            PrecisionBinning(19.0, 101.0, digits=0),
-            CONDITIONAL_ENTROPY,
-            mode="fulldata",
-        )
-        with pytest.raises(ValueError, match="bitmap mode"):
-            pipe.run_parallel(4, 2, n_workers=2)
 
     def test_argument_validation(self):
         sim = Heat3D((8, 8, 8), seed=1)

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from repro.bitmap import PrecisionBinning
+from repro.insitu.allocation import SeparateCores
 from repro.insitu.pipeline import InSituPipeline
 from repro.insitu.sampling import Sampler
 from repro.insitu.writer import OutputWriter
-from repro.selection import CONDITIONAL_ENTROPY, EMD_SPATIAL
+from repro.selection import CONDITIONAL_ENTROPY, EMD_COUNT, EMD_SPATIAL
 from repro.sims.heat3d import Heat3D
 from repro.sims.lulesh import LuleshProxy
 
@@ -101,14 +102,24 @@ class TestBitmapPipeline:
 
 
 class TestThreadedPipeline:
+    """Separate Cores on threads: run_parallel's threaded engine."""
+
+    @staticmethod
+    def _run(pipe, n_steps, select_k, capacity):
+        return pipe.run_parallel(
+            n_steps, select_k, allocation=SeparateCores(1, 1),
+            executor="threads", queue_capacity_bytes=capacity,
+        )
+
     def test_separate_cores_equivalent_output(self):
         """Threaded (separate cores) and sequential (shared cores) runs
         select identical time-steps."""
         seq_sim = Heat3D((8, 8, 8), seed=9)
         seq = InSituPipeline(seq_sim, _heat_binning(), CONDITIONAL_ENTROPY).run(16, 4)
         thr_sim = Heat3D((8, 8, 8), seed=9)
-        thr = InSituPipeline(thr_sim, _heat_binning(), CONDITIONAL_ENTROPY).run_threaded(
-            16, 4, queue_capacity_bytes=4 * 8 * 8 * 8 * 8
+        thr = self._run(
+            InSituPipeline(thr_sim, _heat_binning(), CONDITIONAL_ENTROPY),
+            16, 4, 4 * 8 * 8 * 8 * 8,
         )
         assert thr.selection.selected == seq.selection.selected
         assert thr.queue_stats is not None
@@ -118,28 +129,23 @@ class TestThreadedPipeline:
         """A one-step queue forces producer/consumer interleaving."""
         sim = Heat3D((8, 8, 8), seed=9)
         pipe = InSituPipeline(sim, _heat_binning(), CONDITIONAL_ENTROPY)
-        result = pipe.run_threaded(12, 3, queue_capacity_bytes=8 * 8 * 8 * 8)
+        result = self._run(pipe, 12, 3, 8 * 8 * 8 * 8)
         assert result.queue_stats.max_depth <= 2
         assert result.selection.k == 3
-
-    def test_threaded_requires_bitmap_mode(self):
-        sim = Heat3D((8, 8, 8))
-        pipe = InSituPipeline(sim, _heat_binning(), CONDITIONAL_ENTROPY, mode="fulldata")
-        with pytest.raises(ValueError, match="bitmap mode"):
-            pipe.run_threaded(4, 2, queue_capacity_bytes=10**6)
 
     def test_worker_failure_propagates_without_deadlock(self):
         """Regression: when every worker dies, a producer blocked on a
         full queue used to wait forever.  The failing worker must poison
-        the queue so run_threaded re-raises the original exception."""
-        boom = RuntimeError("payload exploded")
+        the queue so the run re-raises the original exception."""
+        boom = RuntimeError("binning exploded")
 
-        def bad_payload(step):
-            raise boom
+        class ExplodingBinning(PrecisionBinning):
+            def assign_checked(self, values):
+                raise boom
 
         sim = Heat3D((8, 8, 8), seed=9)
         pipe = InSituPipeline(
-            sim, _heat_binning(), CONDITIONAL_ENTROPY, payload_fn=bad_payload
+            sim, ExplodingBinning(19.0, 101.0, digits=0), CONDITIONAL_ENTROPY
         )
         outcome: dict[str, BaseException] = {}
 
@@ -147,15 +153,33 @@ class TestThreadedPipeline:
             try:
                 # Queue fits exactly one 4096-byte step, so the producer
                 # blocks on step 2 once the lone worker is dead.
-                pipe.run_threaded(12, 3, queue_capacity_bytes=8 * 8 * 8 * 8)
+                self._run(pipe, 12, 3, 8 * 8 * 8 * 8)
             except BaseException as exc:
                 outcome["exc"] = exc
 
         t = threading.Thread(target=run, daemon=True)
         t.start()
         t.join(timeout=10)
-        assert not t.is_alive(), "run_threaded deadlocked after worker death"
+        assert not t.is_alive(), "threaded engine deadlocked after worker death"
         assert outcome["exc"] is boom
+
+
+class TestRowOrderingPerRun:
+    def test_reused_pipeline_orders_each_run_afresh(self):
+        """Regression: a reused pipeline encoded its second run under the
+        first run's permutation.  The second run must equal a fresh
+        pipeline started where the first run stopped."""
+        binning = _heat_binning()
+        pipe = InSituPipeline(
+            Heat3D((8, 8, 8), seed=3), binning, EMD_COUNT, ordering="lex"
+        )
+        pipe.run(4, 2)
+        second = pipe.run(4, 2)
+        sim = Heat3D((8, 8, 8), seed=3)
+        sim.skip(4)
+        fresh = InSituPipeline(sim, binning, EMD_COUNT, ordering="lex").run(4, 2)
+        assert second.artifact_bytes == fresh.artifact_bytes
+        assert second.selection.selected == fresh.selection.selected
 
 
 class TestSamplingPipeline:

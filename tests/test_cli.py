@@ -1,5 +1,7 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,32 @@ class TestInsituCommand:
     def test_bad_shape(self):
         with pytest.raises(SystemExit):
             main(["insitu", "--shape", "8,8"])
+
+    def test_parallel_ordering_selects_like_serial(self, capsys):
+        def selected(workers: int) -> str:
+            rc = main(
+                ["insitu", "--shape", "8,8,8", "--steps", "6", "--select", "2",
+                 "--ordering", "lex", "--workers", str(workers)]
+            )
+            assert rc == 0
+            out = capsys.readouterr().out
+            return re.search(r"selected=(\[[^\]]*\])", out).group(1)
+
+        assert selected(2) == selected(1)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--mode", "fulldata", "--ordering", "lex"],
+         ["--mode", "fulldata", "--workers", "2"]],
+        ids=["fulldata-ordering", "fulldata-workers"],
+    )
+    def test_illegal_combination_exits_with_the_rule(self, extra):
+        with pytest.raises(SystemExit) as exc:
+            main(["insitu", "--shape", "8,8,8", "--steps", "4", "--select", "2",
+                  *extra])
+        message = str(exc.value.code)
+        assert "bitmap mode" in message
+        assert "\n" not in message
 
 
 class TestIndexAndQuery:
