@@ -1,6 +1,7 @@
 """Per-variable in-situ reduction on the Lulesh proxy (§5.1's 12 arrays).
 
-Two faithful ways to handle a multi-array time-step:
+Two faithful ways to handle a multi-array time-step, both run by
+``InSituPipeline``:
 
 * one index over the concatenated payload (one shared binning), or
 * one index **per variable**, each under its own physical range, with
@@ -13,60 +14,63 @@ on kinematics (velocity/acceleration) vs geometry (coordinates).
 Run:  python examples/multivariable_lulesh.py
 """
 
-from repro.bitmap import BitmapIndex, common_binning
-from repro.insitu.variables import (
-    MultiVariableIndexer,
-    select_timesteps_multivariable,
+import tempfile
+from pathlib import Path
+
+from repro.bitmap import common_binning
+from repro.insitu import (
+    InSituPipeline,
+    OutputWriter,
+    binnings_from_probe,
+    combined_metric,
 )
-from repro.selection import EMD_COUNT, select_timesteps_bitmap
+from repro.selection import EMD_COUNT
 from repro.sims import LuleshProxy
 
 N_STEPS, SELECT_K = 24, 6
 NODE_SHAPE = (8, 8, 8)
 
 
+def select(binning, metric=EMD_COUNT, writer=None):
+    pipe = InSituPipeline(
+        LuleshProxy(NODE_SHAPE, seed=5), binning, metric, writer=writer
+    )
+    return pipe.run(N_STEPS, SELECT_K)
+
+
 def main() -> None:
     probe = list(LuleshProxy(NODE_SHAPE, seed=5).run(N_STEPS))
-    indexer = MultiVariableIndexer.from_probe(probe, bins=24)
+    binnings = binnings_from_probe(probe, bins=24)
 
     print("per-variable binnings (each variable has its own range):")
     for name in ("coord_x", "velocity_x", "force_x"):
-        b = indexer.binnings[name]
+        b = binnings[name]
         print(f"  {name:14s} [{b.lo:12.4g}, {b.hi:12.4g}]  {b.n_bins} bins")
 
-    sim = LuleshProxy(NODE_SHAPE, seed=5)
-    reduced = [indexer.reduce(s) for s in sim.run(N_STEPS)]
-    per_step_bytes = reduced[0].nbytes
+    # --- selection on all 12 variables ----------------------------------
+    with tempfile.TemporaryDirectory() as out:
+        all_vars = select(binnings, writer=OutputWriter(Path(out)))
+        records = sorted(p.name for p in (Path(out) / "step_00000").iterdir())
+    per_step_bytes = all_vars.artifact_bytes[0]
     raw_bytes = probe[0].nbytes
     print(f"\nreduced step: {per_step_bytes / 1024:.1f} KiB of bitmaps "
-          f"vs {raw_bytes / 1024:.1f} KiB raw ({per_step_bytes / raw_bytes:.1%})")
-
-    # --- selection on all 12 variables ----------------------------------
-    all_vars = select_timesteps_multivariable(reduced, SELECT_K, EMD_COUNT)
-    print(f"\nselection, all 12 variables:    {all_vars.selected}")
+          f"vs {raw_bytes / 1024:.1f} KiB raw ({per_step_bytes / raw_bytes:.1%}), "
+          f"{len(records)} records per selected step")
+    print(f"\nselection, all 12 variables:    {all_vars.selection.selected}")
 
     # --- weighted variants ----------------------------------------------
     kinematics = {f"{v}_{c}": 1.0 for v in ("velocity", "acceleration")
                   for c in "xyz"}
     geometry = {f"coord_{c}": 1.0 for c in "xyz"}
-    kin = select_timesteps_multivariable(
-        reduced, SELECT_K, EMD_COUNT, weights=kinematics
-    )
-    geo = select_timesteps_multivariable(
-        reduced, SELECT_K, EMD_COUNT, weights=geometry
-    )
-    print(f"selection, kinematics only:     {kin.selected}")
-    print(f"selection, geometry only:       {geo.selected}")
+    kin = select(binnings, combined_metric(EMD_COUNT, weights=kinematics))
+    geo = select(binnings, combined_metric(EMD_COUNT, weights=geometry))
+    print(f"selection, kinematics only:     {kin.selection.selected}")
+    print(f"selection, geometry only:       {geo.selection.selected}")
 
     # --- the concatenated alternative ------------------------------------
-    cat_probe = [s.concatenated() for s in probe]
-    binning = common_binning(cat_probe, bins=96)
-    sim2 = LuleshProxy(NODE_SHAPE, seed=5)
-    cat_indices = [
-        BitmapIndex.build(s.concatenated(), binning) for s in sim2.run(N_STEPS)
-    ]
-    cat = select_timesteps_bitmap(cat_indices, SELECT_K, EMD_COUNT)
-    print(f"selection, concatenated payload: {cat.selected}")
+    binning = common_binning([s.concatenated() for s in probe], bins=96)
+    cat = select(binning)
+    print(f"selection, concatenated payload: {cat.selection.selected}")
     print("\n(the variants legitimately disagree -- they answer different "
           "questions about which physics matters)")
 

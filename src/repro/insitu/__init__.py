@@ -1,5 +1,5 @@
-"""In-situ pipeline (S16-S18): reduce, select, write; core allocation;
-sampling baseline."""
+"""In-situ pipeline (S16-S18, S31): reduce, select, write, for one
+payload array or per-variable fields; core allocation; sampling baseline."""
 
 from repro.insitu.allocation import (
     SeparateCores,
@@ -18,7 +18,6 @@ from repro.insitu.memory import (
     bitmap_resident_model,
     fulldata_resident_model,
 )
-from repro.insitu.multivariable_pipeline import MultiVariablePipeline, MultiVariableResult
 from repro.insitu.pipeline import InSituPipeline, PipelineResult, default_payload
 from repro.insitu.queue import BoundedDataQueue, QueueClosed, QueueStats
 from repro.insitu.sampling import (
@@ -29,10 +28,9 @@ from repro.insitu.sampling import (
     subset_mutual_information_errors,
 )
 from repro.insitu.variables import (
-    MultiVariableIndexer,
     MultiVariableStep,
+    binnings_from_probe,
     combined_metric,
-    select_timesteps_multivariable,
 )
 from repro.insitu.writer import OutputWriter, WriteStats
 
@@ -48,8 +46,6 @@ __all__ = [
     "MemoryTracker",
     "bitmap_resident_model",
     "fulldata_resident_model",
-    "MultiVariablePipeline",
-    "MultiVariableResult",
     "InSituPipeline",
     "PipelineResult",
     "default_payload",
@@ -61,10 +57,9 @@ __all__ = [
     "sampled_conditional_entropy",
     "sampled_mutual_information",
     "subset_mutual_information_errors",
-    "MultiVariableIndexer",
     "MultiVariableStep",
+    "binnings_from_probe",
     "combined_metric",
-    "select_timesteps_multivariable",
     "OutputWriter",
     "WriteStats",
 ]

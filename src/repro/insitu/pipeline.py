@@ -12,11 +12,15 @@ Three reduction modes matching the methods §5 compares:
 
 One step loop runs every configuration: simulate -> payload -> (row
 ordering) -> build engine (:mod:`repro.insitu.parallel`) -> batch or
-streaming selector -> write.  :meth:`InSituPipeline.run`,
-:meth:`~InSituPipeline.run_parallel` and :meth:`~InSituPipeline.run_streaming`
-only configure it, and :func:`check_combination` is the one rule
-deciding which configurations run; every configuration it accepts writes
-the same store as :meth:`InSituPipeline.run`.
+streaming selector -> write.  A step's payload is one array, or -- given
+a per-variable ``binning`` mapping -- the named fields of §5.1's
+multi-array steps, each built under its own binning into one
+:class:`~repro.insitu.variables.MultiVariableStep` artifact.
+:meth:`InSituPipeline.run`, :meth:`~InSituPipeline.run_parallel` and
+:meth:`~InSituPipeline.run_streaming` only configure it, and
+:func:`check_combination` is the one rule deciding which configurations
+run; every configuration it accepts writes the same store as
+:meth:`InSituPipeline.run`.
 
 Each phase is wall-clock timed into the same decomposition the paper's
 stacked bars use (simulate / reduce / select / output), and a
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Literal
+from typing import Callable, Literal, Mapping
 
 import numpy as np
 
@@ -52,6 +56,7 @@ from repro.insitu.parallel import (
 )
 from repro.insitu.queue import QueueFailed
 from repro.insitu.sampling import Sampler
+from repro.insitu.variables import MultiVariableStep, combined_metric
 from repro.insitu.writer import OutputWriter
 from repro.selection.greedy import (
     Partitioning,
@@ -98,10 +103,19 @@ def check_combination(
     Every combination not listed here runs, on every engine, and writes
     the store the inline engine writes.
     """
-    mode, ordering = pipe.mode, pipe.ordering_method
-    # aligned_metric renames "emd_spatial" to "emd_spatial@adaptive".
-    metric = pipe.metric.name.split("@")[0]
+    mode, ordering, multivar = pipe.mode, pipe.ordering_method, pipe.variables
+    # aligned_metric renames "emd_spatial" to "emd_spatial@adaptive",
+    # combined_metric to "multivar:emd_spatial".
+    metric = pipe.metric.name.removeprefix("multivar:").split("@")[0]
     rules = [
+        (isinstance(pipe.binning, Mapping) and not multivar,
+         "a per-variable binning needs at least one variable"),
+        (multivar and mode != "bitmap",
+         "multi-variable runs are defined for bitmap mode only"),
+        (multivar and pipe.partitioning != "fixed",
+         "multi-variable selection uses fixed partitioning"),
+        (multivar and pipe.payload_fn is not default_payload,
+         "a multi-variable payload is the binned fields; drop payload_fn"),
         (mode == "sampling" and pipe.sampler is None,
          "sampling mode needs a Sampler"),
         (pipe.binning is None and mode != "bitmap",
@@ -166,7 +180,7 @@ class InSituPipeline:
     def __init__(
         self,
         simulation: Simulation,
-        binning: Binning | None,
+        binning: Binning | Mapping[str, Binning] | None,
         metric: SelectionMetric,
         *,
         mode: ReductionMode = "bitmap",
@@ -180,6 +194,9 @@ class InSituPipeline:
     ) -> None:
         self.simulation = simulation
         self.binning = binning
+        #: The binned fields of a multi-variable run (``binning`` maps
+        #: field name -> binning); empty when the payload is one array.
+        self.variables = list(binning) if isinstance(binning, Mapping) else []
         self.mode: ReductionMode = mode
         self.sampler = sampler
         self.writer = writer
@@ -194,7 +211,11 @@ class InSituPipeline:
         # binning=None: per-step tick-aligned binning (§5.1's 64-206 bins
         # regime); selection metrics align ticks pairwise.
         self.adaptive_digits = adaptive_digits
-        self.metric = metric if binning is not None else aligned_metric(metric)
+        if self.variables and not metric.name.startswith("multivar:"):
+            metric = combined_metric(metric)
+        elif binning is None:
+            metric = aligned_metric(metric)
+        self.metric = metric
         check_combination(self)
         self._inline = InlineEngine(
             mode=mode, sampler=sampler, build_method=build_method
@@ -206,7 +227,7 @@ class InSituPipeline:
         n_steps: int,
         select_k: int,
         *,
-        resume: list[tuple[int, BitmapIndex]] | None = None,
+        resume: list[tuple[int, BitmapIndex | MultiVariableStep]] | None = None,
     ) -> PipelineResult:
         """Sequential (Shared-Cores-like) execution: phases alternate.
 
@@ -265,6 +286,8 @@ class InSituPipeline:
             if n_workers is None:
                 raise ValueError("pass allocation=... or n_workers=...")
             allocation = SharedCores(n_workers)
+        # A multi-variable step carries one binning per submit.
+        binning = None if self.variables else self.binning
         calibrate = 0
         if allocation == "auto":
             if n_workers is None:
@@ -285,7 +308,7 @@ class InSituPipeline:
                 )
             if isinstance(strategy, SharedCores):
                 return SharedCoresEngine(
-                    strategy.total_cores, self.binning,
+                    strategy.total_cores, binning,
                     executor=executor, chunk_elements=chunk_elements,
                 )
             slot_nbytes = max(payload.nbytes, 1)
@@ -306,7 +329,7 @@ class InSituPipeline:
             else:
                 n_slots = strategy.bitmap_cores + 1
             return SeparateCoresEngine(
-                self.binning,
+                binning,
                 n_workers=strategy.bitmap_cores,
                 slot_nbytes=slot_nbytes,
                 n_slots=n_slots,
@@ -344,7 +367,7 @@ class InSituPipeline:
         kind: EngineKind,
         open_engine: Callable[[np.ndarray, TimeBreakdown], BuildEngine],
         *,
-        resume: list[tuple[int, BitmapIndex]] = (),
+        resume: list[tuple[int, BitmapIndex | MultiVariableStep]] = (),
         calibrate: int = 0,
         streaming: bool = False,
     ) -> PipelineResult:
@@ -352,8 +375,10 @@ class InSituPipeline:
 
         ``resume`` steps are already built; the simulation skips them.
         The first ``calibrate`` steps are built inline before
-        ``open_engine`` opens the run's engine for the rest.  Each built
-        step joins the selection when the engine hands its artifact back.
+        ``open_engine`` opens the run's engine for the rest.  Each payload
+        column is one engine submit, keyed ``pos * n_columns + column``;
+        a built step joins the selection once the engine has handed back
+        all of its columns.
         """
         check_combination(
             self, kind, resume=len(resume), n_steps=n_steps, streaming=streaming
@@ -373,11 +398,11 @@ class InSituPipeline:
             if streaming
             else None
         )
-        ordering = next((index.ordering for _, index in resume), None)
+        ordering = next((artifact.ordering for _, artifact in resume), None)
+        names = self.variables or ["payload"]
+        partial: dict[int, dict[str, object]] = {}  # pos -> columns built so far
 
         def accept(pos: int, artifact: object) -> None:
-            if ordering is not None and pos >= len(resume):
-                artifact.ordering = ordering
             nbytes = (
                 self.sampler.sample_bytes(sizes[pos])
                 if self.mode == "sampling"
@@ -400,10 +425,25 @@ class InSituPipeline:
                 "retained_window", sum(a.nbytes for a in selector.resident())
             )
 
-        for pos, (step_id, index) in enumerate(resume):
+        def collect(key: int, built: object) -> None:
+            pos, column = divmod(key, len(names))
+            if ordering is not None:
+                built.ordering = ordering
+            columns = partial.setdefault(pos, {})
+            columns[names[column]] = built
+            if len(columns) == len(names):
+                del partial[pos]
+                accept(
+                    pos,
+                    MultiVariableStep(step_ids[pos], columns)
+                    if self.variables
+                    else built,
+                )
+
+        for pos, (step_id, artifact) in enumerate(resume):
             step_ids.append(step_id)
-            sizes.append(index.n_elements)
-            accept(pos, index)
+            sizes.append(0)  # only sampling reads sizes, and it never resumes
+            accept(pos, artifact)
         with timings.timed("simulate"):
             self.simulation.skip(len(resume))
 
@@ -412,38 +452,51 @@ class InSituPipeline:
             for pos in range(len(resume), n_steps):
                 with timings.timed("simulate"):
                     step = self.simulation.advance()
-                payload = self.payload_fn(step)
-                binning = self._step_binning(payload)
+                columns = self._columns(step)
+                binnings = {n: self._step_binning(n, c) for n, c in columns.items()}
                 if self.ordering_method is not None:
-                    flat = np.asarray(payload).ravel()
                     if ordering is None:
+                        # One permutation from all columns, in name order.
                         ordering = compute_ordering(
-                            [flat], binning, self.ordering_method
+                            [columns[n] for n in sorted(columns)],
+                            [binnings[n] for n in sorted(columns)],
+                            self.ordering_method,
                         )
-                    payload = ordering.apply(flat)
+                    columns = {
+                        n: ordering.apply(np.asarray(c).ravel())
+                        for n, c in columns.items()
+                    }
                 step_ids.append(step.step)
-                sizes.append(payload.size)
+                sizes.append(columns[names[0]].size)
                 if self.mode != "fulldata":
                     # Raw data is resident only while being reduced --
                     # the in-situ memory win.  (In fulldata mode the
                     # payload *is* the retained artifact.)
-                    memory.set("current_step_raw", payload.nbytes)
+                    memory.set(
+                        "current_step_raw", sum(c.nbytes for c in columns.values())
+                    )
                 with reduce_timer():
                     if pos < calibrate:
                         current = self._inline
                     else:
-                        engine = engine or open_engine(payload, timings)
+                        engine = engine or open_engine(
+                            max(columns.values(), key=lambda c: c.nbytes), timings
+                        )
                         current = engine
-                    artifact = current.submit(pos, payload, binning=binning)
-                if artifact is not None:
-                    accept(pos, artifact)
+                    built = {
+                        key: current.submit(key, columns[n], binning=binnings[n])
+                        for key, n in enumerate(names, pos * len(names))
+                    }
+                for key, artifact in built.items():
+                    if artifact is not None:
+                        collect(key, artifact)
                 if engine is not None:
                     memory.set("queue", engine.resident_bytes)
             if engine is not None:
                 with reduce_timer():
                     pending = engine.finish()
-                for pos in sorted(pending):
-                    accept(pos, pending[pos])
+                for key in sorted(pending):
+                    collect(key, pending[key])
         except QueueFailed as exc:
             # An encoder died and poisoned the queue: surface its exception.
             raise exc.cause from None
@@ -478,18 +531,37 @@ class InSituPipeline:
         )
 
     # -------------------------------------------------------------- phases
-    def _step_binning(self, payload: np.ndarray) -> Binning:
+    def _columns(self, step: TimeStepData) -> dict[str, np.ndarray]:
+        """The step's payload by column: the binned fields of a
+        multi-variable run, else the one ``"payload"`` array."""
+        if not self.variables:
+            return {"payload": self.payload_fn(step)}
+        missing = [n for n in self.variables if n not in step.fields]
+        if missing:
+            raise KeyError(
+                f"step {step.step} lacks variable(s) {missing}; "
+                f"has {sorted(step.fields)}"
+            )
+        return {n: step.fields[n] for n in self.variables}
+
+    def _step_binning(self, name: str, column: np.ndarray) -> Binning:
+        if self.variables:
+            return self.binning[name]
         if self.binning is not None:
             return self.binning
-        return PrecisionBinning.from_data(payload, digits=self.adaptive_digits)
+        return PrecisionBinning.from_data(column, digits=self.adaptive_digits)
 
     def _build_index(self, payload: np.ndarray) -> BitmapIndex:
         """One step's index as the inline engine builds it (no ordering)."""
-        return self._inline.submit(0, payload, binning=self._step_binning(payload))
+        return self._inline.submit(
+            0, payload, binning=self._step_binning("payload", payload)
+        )
 
     def _write_step(self, step_id: int, artifact, n_elements: int) -> None:
         if self.mode == "bitmap":
-            self.writer.write_bitmap_step(step_id, {"payload": artifact})
+            self.writer.write_bitmap_step(
+                step_id, artifact.indices if self.variables else {"payload": artifact}
+            )
         elif self.mode == "sampling":
             # Positions are regenerated for the *original* payload size
             # recorded at reduce time; deriving it back from the sample

@@ -1,21 +1,23 @@
 """Per-variable in-situ reduction -- the multi-array handling of §5.1.
 
 Lulesh emits "a total of 12 data arrays for each time-step, and we
-support in-situ analysis based on all of them".  Two faithful readings:
+support in-situ analysis based on all of them".  Two faithful readings,
+both run by :class:`~repro.insitu.pipeline.InSituPipeline`:
 
-* index the concatenated payload under one binning (what
-  :class:`~repro.insitu.pipeline.InSituPipeline` defaults to) -- simple,
-  but mixes value distributions of unlike quantities;
+* index the concatenated payload under one binning (the pipeline's
+  default) -- simple, but mixes value distributions of unlike quantities;
 * index **each variable under its own binning** and combine the
-  per-variable correlation scores -- what a physics-aware deployment does
-  and what this module provides.
+  per-variable correlation scores -- what a physics-aware deployment does,
+  and what the pipeline does when its ``binning`` maps field names to
+  binnings.
 
-:class:`MultiVariableIndexer` turns one :class:`~repro.sims.base.TimeStepData`
-into a dict of per-variable indices; :func:`combined_metric` lifts any
-:class:`~repro.selection.metrics.SelectionMetric` to dicts by summing
+This module holds what the second reading adds:
+:func:`binnings_from_probe` derives per-variable binnings from probe
+steps; :class:`MultiVariableStep` is the step artifact the selectors see;
+:func:`combined_metric` lifts any
+:class:`~repro.selection.metrics.SelectionMetric` to it by summing
 per-variable distinctness (each variable contributes in its own binning,
-exactness preserved per variable); :class:`MultiVariableStep` is the
-artifact the selectors see.
+exactness preserved per variable).
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from repro.bitmap.binning import Binning
+from repro.bitmap.binning import Binning, common_binning
 from repro.bitmap.index import BitmapIndex
+from repro.selection.metrics import SelectionMetric
 from repro.sims.base import TimeStepData
 
 
@@ -41,118 +42,47 @@ class MultiVariableStep:
     def nbytes(self) -> int:
         return sum(i.nbytes for i in self.indices.values())
 
+    @property
+    def ordering(self):
+        """The row ordering every variable of the run shares, if any."""
+        return next(iter(self.indices.values())).ordering
+
     def variables(self) -> list[str]:
         return sorted(self.indices)
 
 
-@dataclass(frozen=True)
-class MultiVariableIndexer:
-    """Builds per-variable indices under per-variable binnings.
+def binnings_from_probe(
+    steps: Sequence[TimeStepData],
+    *,
+    bins: int,
+    variables: Sequence[str] | None = None,
+) -> dict[str, Binning]:
+    """Per-variable equal-width binnings spanning the probe steps.
 
-    ``binnings`` maps variable name -> binning; variables absent from the
-    map are skipped (the paper indexes analysis variables, not every
-    internal array).
+    ``variables`` picks the analysis variables (default: every field);
+    the paper indexes analysis variables, not every internal array.
+    """
+    if not steps:
+        raise ValueError("need at least one probe step")
+    names = list(variables) if variables is not None else sorted(steps[0].fields)
+    return {
+        name: common_binning([s.fields[name] for s in steps], bins=bins)
+        for name in names
+    }
 
-    ``ordering`` ("lex" / "gray" / "hist", :mod:`repro.bitmap.ordering`)
-    computes **one** row permutation from *all* variables' bin ids
-    jointly (variables in sorted-name order) on the first reduced step,
-    then applies that same permutation to every variable of every later
-    step.  This is where multi-column Gray-code and histogram-aware
-    ordering earn their keep -- a shared permutation compresses
-    secondary variables too -- and sharing it across steps keeps
-    cross-step joint popcounts (the selection metrics) exactly
-    invariant; a per-step permutation would silently misalign rows
-    between steps.
+
+def combined_metric(
+    metric: SelectionMetric, *, weights: Mapping[str, float] | None = None
+) -> SelectionMetric:
+    """Lift ``metric`` to :class:`MultiVariableStep` artifacts.
+
+    The lifted ``bitmap(prev, cand)`` is the ``weights``-weighted sum of
+    per-variable distinctness (unit weights by default; variables absent
+    from ``weights`` count zero).  The full-data path is ``metric``'s own:
+    multi-variable runs are bitmap-only.
     """
 
-    binnings: Mapping[str, Binning]
-    method: str = "vectorized"
-    ordering: str | None = None
-
-    def __post_init__(self) -> None:
-        if not self.binnings:
-            raise ValueError("need at least one variable binning")
-        if self.ordering is not None:
-            from repro.bitmap.ordering import ORDERING_METHODS
-
-            if self.ordering not in ORDERING_METHODS:
-                raise ValueError(
-                    f"unknown ordering method {self.ordering!r} "
-                    f"(known: {list(ORDERING_METHODS)})"
-                )
-
-    def reduce(self, step: TimeStepData) -> MultiVariableStep:
-        shared = self._shared_ordering(step)
-        indices: dict[str, BitmapIndex] = {}
-        for name, binning in self.binnings.items():
-            indices[name] = BitmapIndex.build(
-                self._field(step, name),
-                binning,
-                method=self.method,  # type: ignore[arg-type]
-                ordering=shared,
-            )
-        return MultiVariableStep(step.step, indices)
-
-    def _shared_ordering(self, step: TimeStepData):
-        """Run-level ordering: computed once, reused for every step."""
-        if self.ordering is None:
-            return None
-        cached = getattr(self, "_ordering_cache", None)
-        names = sorted(self.binnings)
-        n_rows = np.asarray(self._field(step, names[0])).size
-        if cached is not None and cached.n_rows == n_rows:
-            return cached
-        from repro.bitmap.ordering import compute_ordering
-
-        shared = compute_ordering(
-            [self._field(step, n) for n in names],
-            [self.binnings[n] for n in names],
-            self.ordering,
-        )
-        object.__setattr__(self, "_ordering_cache", shared)  # frozen dataclass
-        return shared
-
-    def _field(self, step: TimeStepData, name: str) -> np.ndarray:
-        if name not in step.fields:
-            raise KeyError(
-                f"step {step.step} lacks variable {name!r}; "
-                f"has {sorted(step.fields)}"
-            )
-        return step.fields[name]
-
-    @classmethod
-    def from_probe(
-        cls,
-        steps: Sequence[TimeStepData],
-        *,
-        bins: int,
-        variables: Sequence[str] | None = None,
-        method: str = "vectorized",
-        ordering: str | None = None,
-    ) -> "MultiVariableIndexer":
-        """Derive per-variable equal-width binnings from probe steps."""
-        from repro.bitmap.binning import common_binning
-
-        if not steps:
-            raise ValueError("need at least one probe step")
-        names = (
-            list(variables) if variables is not None else sorted(steps[0].fields)
-        )
-        binnings = {
-            name: common_binning([s.fields[name] for s in steps], bins=bins)
-            for name in names
-        }
-        return cls(binnings, method=method, ordering=ordering)
-
-
-def combined_metric(metric, *, weights: Mapping[str, float] | None = None):
-    """Distinctness over MultiVariableStep = weighted sum over variables.
-
-    Returns a callable suitable for the streaming selector or the greedy
-    helpers that accept a raw distinctness function.
-    """
-
-    def distinctness(prev: MultiVariableStep, cand: MultiVariableStep) -> float:
+    def bitmap(prev: MultiVariableStep, cand: MultiVariableStep) -> float:
         if set(prev.indices) != set(cand.indices):
             raise ValueError(
                 f"steps carry different variables: "
@@ -166,40 +96,4 @@ def combined_metric(metric, *, weights: Mapping[str, float] | None = None):
             total += w * metric.bitmap(prev.indices[name], cand.indices[name])
         return total
 
-    return distinctness
-
-
-def select_timesteps_multivariable(
-    steps: Sequence[MultiVariableStep],
-    k: int,
-    metric,
-    *,
-    weights: Mapping[str, float] | None = None,
-):
-    """Greedy selection over per-variable-reduced steps."""
-    from repro.selection.greedy import SelectionResult
-    from repro.selection.partitioning import (
-        fixed_length_partitions,
-        validate_partitions,
-    )
-
-    parts = fixed_length_partitions(len(steps), k)
-    validate_partitions(parts, len(steps))
-    score = combined_metric(metric, weights=weights)
-    selected = [0]
-    scores = [float("nan")]
-    evaluations = 0
-    prev = 0
-    for interval in parts[1:]:
-        best, best_score = -1, -np.inf
-        for cand in interval:
-            s = score(steps[prev], steps[cand])
-            evaluations += 1
-            if s > best_score:
-                best, best_score = cand, s
-        selected.append(best)
-        scores.append(best_score)
-        prev = best
-    return SelectionResult(
-        selected, scores, parts, f"multivar:{metric.name}", evaluations
-    )
+    return SelectionMetric(f"multivar:{metric.name}", metric.full, bitmap)

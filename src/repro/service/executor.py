@@ -701,10 +701,18 @@ class QueryService:
     def _execute(
         self, plan: _Plan, loaded: dict[str, dict[int, BitVectorAny]]
     ) -> float:
-        query = plan.query
         if plan.count_only:
             return self._execute_count(plan, loaded)
-        indices = {
+        return execute_query(
+            plan.query, self._indices(plan, loaded), layout=self.layout
+        )
+
+    @staticmethod
+    def _indices(
+        plan: _Plan, loaded: dict[str, dict[int, BitVectorAny]]
+    ) -> dict[str, BitmapIndex]:
+        """Every FROM variable's full index, assembled from loaded bins."""
+        return {
             var: BitmapIndex(
                 plan.lazies[var].binning,
                 [loaded[var][b] for b in range(plan.lazies[var].n_bins)],
@@ -713,7 +721,30 @@ class QueryService:
             )
             for var in plan.entries
         }
-        return execute_query(query, indices, layout=self.layout)
+
+    def _where_masks(
+        self, plan: _Plan, loaded: dict[str, dict[int, BitVectorAny]]
+    ) -> list[WAHBitVector] | None:
+        """The WHERE plan in ordered space: one OR over each variable's
+        predicate bins, plus the region; the result set is their AND.
+        ``None`` when a predicate overlaps no bin (the set is empty)."""
+        masks: list[WAHBitVector] = []
+        for var, bins in plan.predicate_bins.items():
+            if bins.size == 0:
+                return None
+            vectors = [loaded[var][int(b)] for b in bins]
+            masks.append(auto_op_many(vectors, "or"))
+        if plan.query.region is not None:
+            region = spatial_subset_mask(
+                plan.n_elements, plan.query.region, self.layout
+            )
+            if plan.ordering is not None:
+                # Bin vectors live in ordered space; the grid layout
+                # lives in simulation order.  Move the region predicate
+                # into ordered space (counts are space-invariant).
+                region = plan.ordering.permute_mask(region)
+            masks.append(region)
+        return masks
 
     def _execute_count(
         self, plan: _Plan, loaded: dict[str, dict[int, BitVectorAny]]
@@ -728,23 +759,11 @@ class QueryService:
         once into one reduce sweep, and the final AND never materialises
         a result vector at all (``auto_count_many``).
         """
-        n = plan.n_elements
-        masks: list[WAHBitVector] = []
-        for var, bins in plan.predicate_bins.items():
-            if bins.size == 0:
-                return 0.0  # predicate overlaps no bin: empty result set
-            vectors = [loaded[var][int(b)] for b in bins]
-            masks.append(auto_op_many(vectors, "or"))
-        if plan.query.region is not None:
-            region = spatial_subset_mask(n, plan.query.region, self.layout)
-            if plan.ordering is not None:
-                # Bin vectors live in ordered space; the grid layout
-                # lives in simulation order.  Move the region predicate
-                # into ordered space (counts are space-invariant).
-                region = plan.ordering.permute_mask(region)
-            masks.append(region)
+        masks = self._where_masks(plan, loaded)
+        if masks is None:
+            return 0.0
         if not masks:
-            return float(n)
+            return float(plan.n_elements)
         if len(masks) == 1:
             return float(masks[0].count())
         return float(auto_count_many(masks, "and"))
@@ -765,20 +784,11 @@ class QueryService:
         and every caller stay ordering-agnostic, even when a store mixes
         ordered and unordered ranks.
         """
-        n = plan.n_elements
-        masks: list[WAHBitVector] = []
-        for var, bins in plan.predicate_bins.items():
-            if bins.size == 0:
-                return WAHBitVector.zeros(n)
-            vectors = [loaded[var][int(b)] for b in bins]
-            masks.append(auto_op_many(vectors, "or"))
-        if plan.query.region is not None:
-            region = spatial_subset_mask(n, plan.query.region, self.layout)
-            if plan.ordering is not None:
-                region = plan.ordering.permute_mask(region)
-            masks.append(region)
+        masks = self._where_masks(plan, loaded)
+        if masks is None:
+            return WAHBitVector.zeros(plan.n_elements)
         if not masks:
-            return WAHBitVector.ones(n)
+            return WAHBitVector.ones(plan.n_elements)
         mask = auto_op_many(masks, "and") if len(masks) > 1 else masks[0]
         if plan.ordering is not None:
             mask = plan.ordering.unpermute_mask(mask)
@@ -788,15 +798,7 @@ class QueryService:
         self, plan: _Plan, loaded: dict[str, dict[int, BitVectorAny]]
     ) -> tuple[np.ndarray, bool]:
         """One slab's restricted joint histogram (+ binning-scale flag)."""
-        indices = {
-            var: BitmapIndex(
-                plan.lazies[var].binning,
-                [loaded[var][b] for b in range(plan.lazies[var].n_bins)],
-                plan.n_elements,
-                plan.lazies[var].ordering,
-            )
-            for var in plan.entries
-        }
+        indices = self._indices(plan, loaded)
         index_a = indices[plan.query.var_a]
         index_b = indices[plan.query.var_b]
         joint = query_joint_counts(

@@ -1,12 +1,13 @@
 """The one in-situ step loop: legality grid, engine parity, resume.
 
-Every (mode x engine x ordering x metric x resume x streaming) cell
-either writes exactly the store the inline engine writes or is refused
-by :func:`~repro.insitu.pipeline.check_combination`.
+Every (mode x engine x ordering x metric x resume x streaming x
+multi-variable) cell either writes exactly the store the inline engine
+writes or is refused by :func:`~repro.insitu.pipeline.check_combination`.
 """
 
 import hashlib
 import itertools
+import math
 from pathlib import Path
 
 import pytest
@@ -21,8 +22,10 @@ from repro.insitu.parallel import (
 )
 from repro.insitu.pipeline import InSituPipeline, UnsupportedCombination
 from repro.insitu.sampling import Sampler
+from repro.insitu.variables import MultiVariableStep, binnings_from_probe
 from repro.insitu.writer import OutputWriter
-from repro.selection import CONDITIONAL_ENTROPY, EMD_SPATIAL
+from repro.selection import CONDITIONAL_ENTROPY, EMD_COUNT, EMD_SPATIAL
+from repro.sims import LuleshProxy
 from repro.sims.heat3d import Heat3D
 
 # Process engines under test: a stuck worker must fail the test, not hang.
@@ -37,6 +40,12 @@ ENGINES = (
     "separate-processes",
     "separate-threads",
 )
+#: Three of Lulesh's arrays, each binned over its own range (§5.1).
+MV_BINNINGS = binnings_from_probe(
+    list(LuleshProxy((6, 6, 6), seed=4).run(10)),
+    bins=16,
+    variables=["velocity_x", "force_x", "coord_x"],
+)
 
 
 def _store_sha256(root: Path) -> str:
@@ -48,10 +57,15 @@ def _store_sha256(root: Path) -> str:
     return digest.hexdigest()
 
 
+def _simulation(binning):
+    if binning is MV_BINNINGS:
+        return LuleshProxy((6, 6, 6), seed=4)
+    return Heat3D((8, 8, 8), seed=5)
+
+
 def _pipeline(out: Path, binning=BINNING, metric=CONDITIONAL_ENTROPY, **kwargs):
     return InSituPipeline(
-        Heat3D((8, 8, 8), seed=5), binning, metric,
-        writer=OutputWriter(out), **kwargs,
+        _simulation(binning), binning, metric, writer=OutputWriter(out), **kwargs
     )
 
 
@@ -64,23 +78,41 @@ def _engine(engine: str, pipe: InSituPipeline):
     if engine == "inline":
         return "inline", lambda payload, timings: pipe._inline
     strategy, executor = engine.split("-")
+    binning = None if pipe.variables else pipe.binning
 
     def open_engine(payload, timings):
         if strategy == "shared":
-            return SharedCoresEngine(2, pipe.binning, executor=executor)
+            return SharedCoresEngine(2, binning, executor=executor)
         if executor == "threads":
             return ThreadedSeparateCoresEngine(
                 n_workers=1, capacity_bytes=4 * payload.nbytes
             )
-        return SeparateCoresEngine(
-            pipe.binning, n_workers=1, slot_nbytes=payload.nbytes
-        )
+        return SeparateCoresEngine(binning, n_workers=1, slot_nbytes=payload.nbytes)
 
     return strategy, open_engine
 
 
-def _prefix(n: int, ordering: str | None) -> list[tuple[int, BitmapIndex]]:
+def _prefix(n: int, ordering: str | None, binning=BINNING) -> list:
     """The first ``n`` steps, built the way the loop builds them."""
+    if binning is MV_BINNINGS:
+        steps = list(_simulation(binning).run(n))
+        names = sorted(binning)
+        order = (
+            compute_ordering(
+                [steps[0].fields[v] for v in names],
+                [binning[v] for v in names],
+                ordering,
+            )
+            if ordering and steps
+            else None
+        )
+        return [
+            (s.step, MultiVariableStep(s.step, {
+                v: BitmapIndex.build(s.fields[v], b, ordering=order)
+                for v, b in binning.items()
+            }))
+            for s in steps
+        ]
     payloads = [s.concatenated() for s in Heat3D((8, 8, 8), seed=5).run(n)]
     order = (
         compute_ordering(payloads[:1], BINNING, ordering)
@@ -93,8 +125,8 @@ def _prefix(n: int, ordering: str | None) -> list[tuple[int, BitmapIndex]]:
     ]
 
 
-def _legal(mode, engine, ordering, metric, resume, streaming) -> bool:
-    bitmap_only = engine != "inline" or ordering or resume or streaming
+def _legal(mode, engine, ordering, metric, resume, streaming, multivar) -> bool:
+    bitmap_only = engine != "inline" or ordering or resume or streaming or multivar
     return not (
         (bitmap_only and mode != "bitmap")
         or (ordering and metric is EMD_SPATIAL)
@@ -110,20 +142,26 @@ GRID = list(
         (CONDITIONAL_ENTROPY, EMD_SPATIAL),
         (0, 1),
         (False, True),
+        (False, True),
     )
 )
 
 
 @pytest.mark.parametrize(
-    "mode,engine,ordering,metric,resume,streaming",
+    "mode,engine,ordering,metric,resume,streaming,multivar",
     GRID,
     ids=[
         f"{m}-{e}-{o}-{x.name}-resume{r}-{'stream' if s else 'batch'}"
-        for m, e, o, x, r, s in GRID
+        + ("-multivar" if v else "")
+        for m, e, o, x, r, s, v in GRID
     ],
 )
-def test_legality_grid(tmp_path, mode, engine, ordering, metric, resume, streaming):
+def test_legality_grid(
+    tmp_path, mode, engine, ordering, metric, resume, streaming, multivar
+):
+    binning = MV_BINNINGS if multivar else BINNING
     kwargs = dict(
+        binning=binning,
         metric=metric,
         mode=mode,
         ordering=ordering,
@@ -135,10 +173,10 @@ def test_legality_grid(tmp_path, mode, engine, ordering, metric, resume, streami
         kind, open_engine = _engine(engine, pipe)
         return pipe._loop(
             N_STEPS, SELECT_K, kind, open_engine,
-            resume=_prefix(resume, ordering), streaming=streaming,
+            resume=_prefix(resume, ordering, binning), streaming=streaming,
         )
 
-    if not _legal(mode, engine, ordering, metric, resume, streaming):
+    if not _legal(mode, engine, ordering, metric, resume, streaming, multivar):
         with pytest.raises(UnsupportedCombination):
             run_cell()
         return
@@ -191,3 +229,118 @@ def test_auto_allocation_on_both_executors(tmp_path, executor):
     )
     assert _outcome(auto, tmp_path / "auto") == _outcome(full, tmp_path / "full")
     assert auto.queue_stats.puts == 4  # two calibration steps built inline
+
+
+# ------------------------------------------------------------ multi-variable
+#: SHA-256 of every record the retired multi-variable driver stored for
+#: ``run(10, 3)`` over ``MV_BINNINGS``; it selected [0, 5, 9] scoring
+#: [nan, 62.0, 29.0] under ``multivar:emd_count``.
+MV_PINNED = {
+    None: {
+        "step_00000/coord_x.rbmp": "3bc6885ffecf9ceae35bc9273474811b972f3b1a8e0eeab81df365b7c4da5446",
+        "step_00000/force_x.rbmp": "72c9a545ae3d17ec8d53db2009705a45eea1ac3219194b24d67bc30d9d867a5b",
+        "step_00000/velocity_x.rbmp": "7e60d5f0712eceaa97828021c9a9917570834866ed8f5967e0dd4bd3cb0a5285",
+        "step_00005/coord_x.rbmp": "473720f346e2f57a07afc02a94411933bcc1b53427405bc962becd67f6287736",
+        "step_00005/force_x.rbmp": "7ad3014d07475f1767b61fa4253fb99ecbeb20a7e554616b2514c5e07e3d743c",
+        "step_00005/velocity_x.rbmp": "c0ba355c3cb84ea0772f4149c5ccad8d228c3715ce730a9d8a7f3395324b3638",
+        "step_00009/coord_x.rbmp": "34c75a7b67d5d53f889c4e96419c4c2f240e3081e9126a4ce187b69681cae2df",
+        "step_00009/force_x.rbmp": "a54af638b30f293cc016ad104dea17f3ba5bac1233be400089368467b1a14721",
+        "step_00009/velocity_x.rbmp": "93dfe0b600e4be89df2aa8d3806751fa1fc5896a2490a2f0d9a88c46f4633530",
+    },
+    "lex": {
+        "step_00000/coord_x.rbmp": "2f74c628a136b52a7bfceee430848fc206c241314573d2da528e271d39c4d313",
+        "step_00000/force_x.rbmp": "bc88f1db8f57e514df0e762f603d7d69957159fc98b8db2fbdcc1bdb2d0555b8",
+        "step_00000/velocity_x.rbmp": "f4ee5246e9480ddcecb49115699e739a7a6bf6363ba14fd92788998d09933ffb",
+        "step_00005/coord_x.rbmp": "c76884bcba67c0e9cbbacf1b55fda4edab2b3de481bc6663c283952fb28ba4c1",
+        "step_00005/force_x.rbmp": "388ae7f162bcdaaa77cf33a428d46877643caeb2736f018ec2fe90e882d4e7fb",
+        "step_00005/velocity_x.rbmp": "42203d234c59849270241d24be0a6c9cd1308502e365d989a1545254b18cb6c0",
+        "step_00009/coord_x.rbmp": "4db013c1719f752673d853cbd7f591338a4772428bd8f2df284b86279f693f6e",
+        "step_00009/force_x.rbmp": "be4158b0cfc0b910ff70422e088cae91aea78c484073267db54ef1877e414667",
+        "step_00009/velocity_x.rbmp": "01169765d1ef364307729313c20c2fa180e3296993d007ec59bac3ff040dc8bb",
+    },
+}
+
+
+def _record_sha256(root: Path) -> dict[str, str]:
+    return {
+        str(path.relative_to(root)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*.rbmp"))
+    }
+
+
+@pytest.mark.parametrize("ordering", [None, "lex"])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_multivariable_store_parity(tmp_path, engine, ordering):
+    """Every engine writes, record for record, what the retired
+    multi-variable driver wrote, and selects what it selected."""
+    pipe = _pipeline(tmp_path, MV_BINNINGS, EMD_COUNT, ordering=ordering)
+    if engine == "inline":
+        result = pipe.run(10, 3)
+    else:
+        strategy, executor = engine.split("-")
+        result = pipe.run_parallel(
+            10, 3,
+            allocation=SharedCores(2) if strategy == "shared" else SeparateCores(1, 1),
+            executor=executor,
+        )
+    selection = result.selection
+    assert selection.selected == [0, 5, 9]
+    assert math.isnan(selection.scores[0])
+    assert selection.scores[1:] == [62.0, 29.0]
+    assert selection.metric_name == "multivar:emd_count"
+    assert _record_sha256(tmp_path) == MV_PINNED[ordering]
+
+
+@pytest.mark.parametrize("ordering", [None, "lex"])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_multivariable_resume_on_every_engine(tmp_path, engine, ordering):
+    full = _pipeline(tmp_path / "full", MV_BINNINGS, ordering=ordering).run(6, 3)
+    pipe = _pipeline(tmp_path / "resumed", MV_BINNINGS, ordering=ordering)
+    kind, open_engine = _engine(engine, pipe)
+    resumed = pipe._loop(
+        6, 3, kind, open_engine, resume=_prefix(3, ordering, MV_BINNINGS)
+    )
+    assert _outcome(resumed, tmp_path / "resumed") == _outcome(
+        full, tmp_path / "full"
+    )
+    assert resumed.selection.scores[1:] == full.selection.scores[1:]
+
+
+def test_multivariable_streaming_retains_two_steps(tmp_path):
+    batch = _pipeline(tmp_path / "batch", MV_BINNINGS, EMD_COUNT).run(10, 3)
+    stream = _pipeline(tmp_path / "stream", MV_BINNINGS, EMD_COUNT).run_streaming(
+        10, 3
+    )
+    assert _outcome(stream, tmp_path / "stream") == _outcome(
+        batch, tmp_path / "batch"
+    )
+    window = stream.memory.peak_snapshot["retained_window"]
+    assert window <= 2 * max(stream.artifact_bytes)
+    assert window < batch.memory.peak_snapshot["retained_window"]
+
+
+def test_multivariable_reused_pipeline_orders_each_run_afresh(tmp_path):
+    """A pipeline's second run computes its own row ordering: it stores
+    what a fresh pipeline stores for the same steps."""
+    pipe = _pipeline(tmp_path / "first", MV_BINNINGS, EMD_COUNT, ordering="lex")
+    pipe.run(5, 2)
+    pipe.writer = OutputWriter(tmp_path / "reused")
+    reused = pipe.run(5, 2)
+    fresh = _pipeline(tmp_path / "fresh", MV_BINNINGS, EMD_COUNT, ordering="lex")
+    fresh.simulation.skip(5)
+    expected = fresh.run(5, 2)
+    assert reused.bytes_written == expected.bytes_written
+    assert _record_sha256(tmp_path / "reused") == _record_sha256(tmp_path / "fresh")
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"partitioning": "info_volume"},
+        {"payload_fn": lambda step: step.fields["force_x"]},
+    ],
+    ids=["info-volume", "payload-fn"],
+)
+def test_multivariable_rejections(tmp_path, kwargs):
+    with pytest.raises(UnsupportedCombination):
+        _pipeline(tmp_path, MV_BINNINGS, EMD_COUNT, **kwargs)
