@@ -1,28 +1,24 @@
-"""Calibration sweep for the density dispatchers (pairwise and k-way).
+"""Calibration sweep for the kernel ladder's route thresholds.
 
-Measures, across a compression-ratio sweep on 1.24M-bit vectors, the
-speedup of the compressed-domain kernels over their group-expansion
-counterparts:
+The ladder (``repro.bitmap.kernels.auto_op_many`` /
+``repro.bitmap.kernels.auto_count_many``) picks its run-merge path when
+every operand compresses to at or below a k-aware threshold, its dense
+path otherwise.  This sweep times the two private paths against each
+other across a compression-ratio sweep on 1.24M-bit vectors, at the two
+operand counts that calibrate the two thresholds:
 
-* ``op_count_streaming`` vs ``op_count`` -- crossover calibrates
-  ``STREAMING_COUNT_RATIO_THRESHOLD``;
-* ``logical_op_runmerge`` vs ``logical_op`` -- crossover calibrates
-  ``STREAMING_OP_RATIO_THRESHOLD``;
-* ``op_count_runmerge_many`` / ``logical_op_runmerge_many`` vs the
-  fused dense sweeps at k = 8 -- crossover calibrates
-  ``KWAY_RUNMERGE_RATIO_THRESHOLD`` for the k-way dispatchers
-  (``auto_op_many`` / ``auto_count_many``).  The k-way crossover sits
-  far below the pairwise one (~0.01 vs ~0.06): the boundary-union sort
-  in the multi-cursor merge grows with the summed run count, while the
-  fused dense sweep stays one hardware-rate pass per operand.
+* k = 2 (AND) -- crossover calibrates ``STREAMING_COUNT_RATIO_THRESHOLD``
+  (count and materialising forms share it);
+* k = 8 (OR, the executor's multi-bin regime) -- crossover calibrates
+  ``KWAY_RUNMERGE_RATIO_THRESHOLD``, used for every k >= 3.  It sits far
+  below the k = 2 one (~0.01 vs ~0.06): the merge's boundary sort and
+  per-operand prefix counts grow with the summed run count, while the
+  dense sweep stays one hardware-rate pass per operand.
 
 Writes ``benchmarks/results/kernel_dispatch.txt`` (quoted by DESIGN.md's
-"Kernel dispatch policy" section).  The thresholds were recalibrated
-when hardware popcount (``np.bitwise_count``) landed: the dense paths
-got ~4x cheaper, moving the count crossover from ratio ~0.42 down to
-~0.06 (the pre-hardware table is preserved in DESIGN.md).  The
-assertions below pin the recalibrated regime: run-merge kernels must
-win inside the calibrated thresholds and lose at the dense end.
+"Kernel dispatch policy" section).  The assertions pin the calibrated
+regime: the run merge must win inside each threshold and lose at the
+dense end.
 """
 
 import time
@@ -32,19 +28,12 @@ import numpy as np
 from repro.bitmap import WAHBitVector
 from repro.bitmap.kernels import (
     KWAY_RUNMERGE_RATIO_THRESHOLD,
-    logical_op_many,
-    logical_op_runmerge_many,
-    op_count_many,
-    op_count_runmerge_many,
+    _count_dense,
+    _count_runmerge,
+    _op_dense,
+    _op_runmerge,
 )
-from repro.bitmap.ops import (
-    STREAMING_COUNT_RATIO_THRESHOLD,
-    STREAMING_OP_RATIO_THRESHOLD,
-    logical_op,
-    logical_op_runmerge,
-    op_count,
-    op_count_streaming,
-)
+from repro.bitmap.ops import STREAMING_COUNT_RATIO_THRESHOLD
 from _tables import format_table, save_table
 
 N = 31 * 40_000  # 1.24M bits
@@ -52,17 +41,12 @@ N = 31 * 40_000  # 1.24M bits
 #: Average run lengths (bits) spanning sparse to dense regimes.
 RUN_LENGTHS = [10_000, 2500, 620, 310, 150, 60, 31, 8]
 
-#: Operand count for the k-way sweep (the executor's multi-bin regime).
-KWAY = 8
-
-
-def _vector_pair(run_len: int) -> tuple[WAHBitVector, WAHBitVector]:
-    rng = np.random.default_rng(run_len)
-    a = np.resize(np.repeat(rng.random(N // run_len + 1) < 0.3, run_len), N)
-    b = np.resize(np.repeat(rng.random(N // run_len + 1) < 0.3, run_len), N)
-    va, vb = WAHBitVector.from_bools(a), WAHBitVector.from_bools(b)
-    va.runs(), vb.runs()  # warm the memoised run decode (steady state)
-    return va, vb
+#: (k, op, threshold) per calibrated crossover: pairwise AND and the
+#: executor's multi-bin OR.
+SWEEPS = [
+    (2, "and", STREAMING_COUNT_RATIO_THRESHOLD),
+    (8, "or", KWAY_RUNMERGE_RATIO_THRESHOLD),
+]
 
 
 def _vector_group(run_len: int, k: int) -> list[WAHBitVector]:
@@ -73,7 +57,7 @@ def _vector_group(run_len: int, k: int) -> list[WAHBitVector]:
             np.repeat(rng.random(N // run_len + 1) < 0.3, run_len), N
         )
         v = WAHBitVector.from_bools(bits)
-        v.runs()
+        v.runs()  # warm the memoised run decode (steady state)
         out.append(v)
     return out
 
@@ -87,107 +71,66 @@ def _best_seconds(fn, repeats: int = 15) -> float:
     return best
 
 
-def test_dispatch_calibration_table():
+def _sweep(k: int, op: str) -> tuple[list[list[object]], dict[float, float]]:
+    """Time the dense path against the run merge over RUN_LENGTHS."""
     rows: list[list[object]] = []
     count_speedup_at: dict[float, float] = {}
     for run_len in RUN_LENGTHS:
-        va, vb = _vector_pair(run_len)
-        ratio = max(va.compression_ratio(), vb.compression_ratio())
-        assert op_count_streaming(va, vb, "and") == op_count(va, vb, "and")
-        assert logical_op_runmerge(va, vb, "and") == logical_op(va, vb, "and")
-        t_count_dense = _best_seconds(lambda: op_count(va, vb, "and"))
-        t_count_stream = _best_seconds(lambda: op_count_streaming(va, vb, "and"))
-        t_op_dense = _best_seconds(lambda: logical_op(va, vb, "and"))
-        t_op_merge = _best_seconds(lambda: logical_op_runmerge(va, vb, "and"))
-        count_speedup = t_count_dense / t_count_stream
-        op_speedup = t_op_dense / t_op_merge
-        count_speedup_at[ratio] = count_speedup
+        vecs = _vector_group(run_len, k)
+        ratio = max(v.compression_ratio() for v in vecs)
+        assert _count_runmerge(vecs, op) == _count_dense(vecs, op)
+        assert _op_runmerge(vecs, op) == _op_dense(vecs, op)
+        t_count_dense = _best_seconds(lambda: _count_dense(vecs, op))
+        t_count_merge = _best_seconds(lambda: _count_runmerge(vecs, op))
+        t_op_dense = _best_seconds(lambda: _op_dense(vecs, op))
+        t_op_merge = _best_seconds(lambda: _op_runmerge(vecs, op))
+        count_speedup_at[ratio] = t_count_dense / t_count_merge
         rows.append(
             [
                 run_len,
                 ratio,
                 t_count_dense * 1e6,
-                t_count_stream * 1e6,
-                count_speedup,
-                op_speedup,
-            ]
-        )
-
-    pairwise = format_table(
-        f"Density-dispatch calibration (N={N} bits, AND kernels, hardware "
-        f"popcount; count threshold={STREAMING_COUNT_RATIO_THRESHOLD}, "
-        f"op threshold={STREAMING_OP_RATIO_THRESHOLD})",
-        [
-            "run_bits",
-            "ratio",
-            "count_dense_us",
-            "count_stream_us",
-            "count_speedup",
-            "op_speedup",
-        ],
-        rows,
-    )
-
-    kway_rows: list[list[object]] = []
-    kway_count_speedup_at: dict[float, float] = {}
-    for run_len in RUN_LENGTHS:
-        vecs = _vector_group(run_len, KWAY)
-        ratio = max(v.compression_ratio() for v in vecs)
-        assert op_count_runmerge_many(vecs, "or") == op_count_many(vecs, "or")
-        assert logical_op_runmerge_many(vecs, "or") == logical_op_many(vecs, "or")
-        t_count_dense = _best_seconds(lambda: op_count_many(vecs, "or"))
-        t_count_merge = _best_seconds(lambda: op_count_runmerge_many(vecs, "or"))
-        t_op_dense = _best_seconds(lambda: logical_op_many(vecs, "or"))
-        t_op_merge = _best_seconds(lambda: logical_op_runmerge_many(vecs, "or"))
-        count_speedup = t_count_dense / t_count_merge
-        kway_count_speedup_at[ratio] = count_speedup
-        kway_rows.append(
-            [
-                run_len,
-                ratio,
-                t_count_dense * 1e6,
                 t_count_merge * 1e6,
-                count_speedup,
+                t_count_dense / t_count_merge,
                 t_op_dense / t_op_merge,
             ]
         )
+    return rows, count_speedup_at
 
-    kway = format_table(
-        f"k-way dispatch calibration (N={N} bits, k={KWAY}, fused OR; "
-        f"run merge vs chunked dense sweep; "
-        f"threshold={KWAY_RUNMERGE_RATIO_THRESHOLD})",
-        [
-            "run_bits",
-            "ratio",
-            "count_dense_us",
-            "count_merge_us",
-            "count_speedup",
-            "op_speedup",
-        ],
-        kway_rows,
-    )
-    save_table("kernel_dispatch", pairwise + "\n\n" + kway)
 
-    # Recalibrated acceptance: inside the calibrated threshold the
-    # run-merge count kernel must win (with margin at the sparse end);
-    # at the dense end the group kernel must win.  The pre-hardware
-    # criterion (>= 2x at ratio <= 0.1) is unreachable now that the
-    # dense baseline itself runs on hardware popcount -- see DESIGN.md.
-    for speedups, regime_threshold in (
-        (count_speedup_at, STREAMING_COUNT_RATIO_THRESHOLD),
-        (kway_count_speedup_at, KWAY_RUNMERGE_RATIO_THRESHOLD),
-    ):
-        in_regime = {
-            r: s for r, s in speedups.items() if r <= regime_threshold
-        }
-        assert in_regime, "sweep produced no pairs inside the threshold regime"
+def test_dispatch_calibration_table():
+    tables = []
+    for k, op, threshold in SWEEPS:
+        rows, speedups = _sweep(k, op)
+        tables.append(
+            format_table(
+                f"Route calibration (N={N} bits, k={k}, {op.upper()}; run "
+                f"merge vs chunked dense sweep, hardware popcount; "
+                f"threshold={threshold})",
+                [
+                    "run_bits",
+                    "ratio",
+                    "count_dense_us",
+                    "count_merge_us",
+                    "count_speedup",
+                    "op_speedup",
+                ],
+                rows,
+            )
+        )
+        # Inside the calibrated threshold the run-merge count must win
+        # (with margin at the sparse end); at the dense end the dense
+        # path must win.
+        in_regime = {r: s for r, s in speedups.items() if r <= threshold}
+        assert in_regime, "sweep produced no operands inside the threshold regime"
         assert all(s >= 1.0 for s in in_regime.values()), (
-            f"run-merge count kernel loses inside its regime: {in_regime}"
+            f"run merge loses inside its regime at k={k}: {in_regime}"
         )
         ratios = sorted(speedups)
         assert speedups[ratios[0]] >= 1.5, (
-            f"no clear run-merge win at the sparsest point: {speedups}"
+            f"no clear run-merge win at the sparsest point, k={k}: {speedups}"
         )
         assert speedups[ratios[-1]] < 1.0, (
-            f"no clear dense win at the densest point: {speedups}"
+            f"no clear dense win at the densest point, k={k}: {speedups}"
         )
+    save_table("kernel_dispatch", "\n\n".join(tables))

@@ -1,16 +1,18 @@
 """Micro-benchmarks of the compressed bitwise kernels (§3.2's fast ops).
 
-Ablations:
+Every combine and count goes through the kernel ladder
+(``repro.bitmap.kernels.auto_op_many`` / ``repro.bitmap.kernels.auto_count_many``);
+path ablations call its two private paths directly.  Ablations:
 
-* fast (group-expansion) vs streaming (word-merge) logical ops;
+* the dense path vs the scalar oracle (``logical_op_streaming``);
 * compressed AND+popcount vs the equivalent numpy boolean kernel on the
   decompressed data (what "hardware-supported bitwise ops" buys);
-* count-only kernels vs materialising the result vector;
-* compressed-domain (run-merge) count kernels vs decompress-then-popcount
-  on well-compressed operands -- the dispatcher's streaming regime;
-* fused k-way reduction (``logical_op_many``) vs a pairwise
-  ``reduce(logical_or, ...)`` fold on executor-shaped multi-bin
-  operands -- what the kernels tier buys the range-query hot path.
+* count-only vs materialising the result vector;
+* the run-merge path vs the dense path on well-compressed operands --
+  the ladder's run-merge regime -- and the public entry's routing
+  overhead on both regimes;
+* one fused k-way call vs a left fold of k = 2 calls on executor-shaped
+  multi-bin operands -- what fusion buys the range-query hot path.
 
 Run as a script (``python bench_kernels.py [--smoke]``) to sweep the
 k-way section over k in {2, 4, 8, 16}, assert the fused kernel's >= 2x
@@ -33,22 +35,13 @@ import pytest
 from repro.bitmap import BitmapIndex, EqualWidthBinning, WAHBitVector
 from repro.bitmap.kernels import (
     KWAY_RUNMERGE_RATIO_THRESHOLD,
+    _count_dense,
+    _count_runmerge,
+    _op_dense,
     auto_count_many,
-    logical_op_many,
-    op_count_many,
+    auto_op_many,
 )
-from repro.bitmap.ops import (
-    and_count,
-    and_count_streaming,
-    auto_count,
-    logical_and,
-    logical_op_streaming,
-    logical_or,
-    logical_xor,
-    or_count,
-    xor_count,
-    xor_count_streaming,
-)
+from repro.bitmap.ops import logical_op_streaming
 from repro.util.bits import HAS_HARDWARE_POPCOUNT
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -97,24 +90,24 @@ def sparse_vectors():
 
 def test_kernel_and_fast(benchmark, vectors):
     _, _, va, vb = vectors
-    benchmark(lambda: logical_and(va, vb))
+    benchmark(lambda: _op_dense((va, vb), "and"))
 
 
 def test_kernel_and_streaming(benchmark, vectors):
     _, _, va, vb = vectors
     out = benchmark(lambda: logical_op_streaming(va, vb, "and"))
-    assert out == logical_and(va, vb)
+    assert out == _op_dense((va, vb), "and")
 
 
 def test_kernel_and_count_only(benchmark, vectors):
     a, b, va, vb = vectors
-    count = benchmark(lambda: and_count(va, vb))
+    count = benchmark(lambda: _count_dense((va, vb), "and"))
     assert count == int((a & b).sum())
 
 
 def test_kernel_xor_count_only(benchmark, vectors):
     a, b, va, vb = vectors
-    count = benchmark(lambda: xor_count(va, vb))
+    count = benchmark(lambda: _count_dense((va, vb), "xor"))
     assert count == int((a ^ b).sum())
 
 
@@ -125,52 +118,52 @@ def test_kernel_numpy_bool_baseline(benchmark, vectors):
 
 def test_kernel_xor_materialised(benchmark, vectors):
     _, _, va, vb = vectors
-    benchmark(lambda: logical_xor(va, vb).count())
+    benchmark(lambda: _op_dense((va, vb), "xor").count())
 
 
 def test_kernel_and_count_streaming_sparse(benchmark, sparse_vectors):
     a, b, va, vb = sparse_vectors
-    count = benchmark(lambda: and_count_streaming(va, vb))
+    count = benchmark(lambda: _count_runmerge((va, vb), "and"))
     assert count == int((a & b).sum())
 
 
 def test_kernel_and_count_dense_sparse(benchmark, sparse_vectors):
-    """Decompress-then-popcount on the same sparse operands (the loser)."""
+    """The dense path on the same sparse operands (the loser)."""
     a, b, va, vb = sparse_vectors
-    count = benchmark(lambda: and_count(va, vb))
+    count = benchmark(lambda: _count_dense((va, vb), "and"))
     assert count == int((a & b).sum())
 
 
 def test_kernel_xor_count_streaming_sparse(benchmark, sparse_vectors):
     a, b, va, vb = sparse_vectors
-    count = benchmark(lambda: xor_count_streaming(va, vb))
+    count = benchmark(lambda: _count_runmerge((va, vb), "xor"))
     assert count == int((a ^ b).sum())
 
 
 def test_kernel_xor_count_dense_sparse(benchmark, sparse_vectors):
     a, b, va, vb = sparse_vectors
-    count = benchmark(lambda: xor_count(va, vb))
+    count = benchmark(lambda: _count_dense((va, vb), "xor"))
     assert count == int((a ^ b).sum())
 
 
 def test_kernel_auto_count_sparse(benchmark, sparse_vectors):
-    """Dispatcher overhead on the streaming route (two ratio reads)."""
+    """Entry overhead on the run-merge route (two ratio reads)."""
     a, b, va, vb = sparse_vectors
-    count = benchmark(lambda: auto_count(va, vb, "and"))
+    count = benchmark(lambda: auto_count_many((va, vb), "and"))
     assert count == int((a & b).sum())
 
 
 def test_kernel_auto_count_dense(benchmark, dense_vectors):
-    """Dispatcher on dense operands must not regress the group kernel."""
+    """The entry on dense operands must not regress the dense path."""
     a, b, va, vb = dense_vectors
-    count = benchmark(lambda: auto_count(va, vb, "and"))
+    count = benchmark(lambda: auto_count_many((va, vb), "and"))
     assert count == int((a & b).sum())
 
 
 def test_kernel_and_count_dense_baseline(benchmark, dense_vectors):
-    """The undispatched group kernel on the same dense operands."""
+    """The unrouted dense path on the same dense operands."""
     a, b, va, vb = dense_vectors
-    count = benchmark(lambda: and_count(va, vb))
+    count = benchmark(lambda: _count_dense((va, vb), "and"))
     assert count == int((a & b).sum())
 
 
@@ -190,7 +183,7 @@ def test_kernel_decompression(benchmark, vectors):
 
 
 # --------------------------------------------------------------------------
-# Fused k-way reduction vs pairwise fold (the executor's range-query path)
+# One fused k-way call vs a fold of k = 2 calls (the range-query path)
 # --------------------------------------------------------------------------
 
 #: Operand counts for the k-way sweep; 8 and 16 are the executor's
@@ -216,15 +209,13 @@ def range_query_operands(k: int, n_bits: int = N) -> list[WAHBitVector]:
 
 
 def pairwise_or_reduce(vectors: list[WAHBitVector]) -> WAHBitVector:
-    """The pre-kernels executor path: a left fold of pairwise ORs."""
-    return reduce(logical_or, vectors)
+    """The unfused path: a left fold of k = 2 ladder calls."""
+    return reduce(lambda a, b: auto_op_many((a, b), "or"), vectors)
 
 
 def pairwise_or_count(vectors: list[WAHBitVector]) -> int:
-    if len(vectors) == 1:
-        return vectors[0].count()
-    folded = reduce(logical_or, vectors[:-1])
-    return or_count(folded, vectors[-1])
+    """Fold the first k - 1 operands, then one k = 2 count (k >= 2)."""
+    return auto_count_many((pairwise_or_reduce(vectors[:-1]), vectors[-1]), "or")
 
 
 @pytest.fixture(scope="module")
@@ -233,19 +224,19 @@ def kway_operands():
 
 
 def test_kernel_kway_fused_or(benchmark, kway_operands):
-    out = benchmark(lambda: logical_op_many(kway_operands, "or"))
+    out = benchmark(lambda: auto_op_many(kway_operands, "or"))
     assert out == pairwise_or_reduce(kway_operands)
 
 
 def test_kernel_kway_pairwise_or(benchmark, kway_operands):
-    """The pairwise fold the fused kernel replaced (the loser at k=8)."""
+    """The fold of k = 2 calls that one fused call replaces (the loser
+    at k=8)."""
     benchmark(lambda: pairwise_or_reduce(kway_operands))
 
 
 def test_kernel_kway_fused_count(benchmark, kway_operands):
-    count = benchmark(lambda: op_count_many(kway_operands, "or"))
+    count = benchmark(lambda: auto_count_many(kway_operands, "or"))
     assert count == pairwise_or_reduce(kway_operands).count()
-    assert count == auto_count_many(kway_operands, "or")
 
 
 def _best_seconds(fn, repeats: int) -> float:
@@ -265,14 +256,14 @@ def run_kway_sweep(smoke: bool = False) -> dict:
     record: list[dict] = []
     for k in KWAY_SWEEP:
         vecs = range_query_operands(k, n_bits)
-        fused = logical_op_many(vecs, "or")
+        fused = auto_op_many(vecs, "or")
         folded = pairwise_or_reduce(vecs)
         assert fused == folded, f"k-way OR diverged from pairwise at k={k}"
-        assert op_count_many(vecs, "or") == folded.count()
+        assert auto_count_many(vecs, "or") == folded.count()
         t_pair = _best_seconds(lambda: pairwise_or_reduce(vecs), repeats)
-        t_fused = _best_seconds(lambda: logical_op_many(vecs, "or"), repeats)
+        t_fused = _best_seconds(lambda: auto_op_many(vecs, "or"), repeats)
         t_pair_count = _best_seconds(lambda: pairwise_or_count(vecs), repeats)
-        t_fused_count = _best_seconds(lambda: op_count_many(vecs, "or"), repeats)
+        t_fused_count = _best_seconds(lambda: auto_count_many(vecs, "or"), repeats)
         op_speedup = t_pair / t_fused
         count_speedup = t_pair_count / t_fused_count
         ratio = max(v.compression_ratio() for v in vecs)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bitmap.index import BitmapIndex
-from repro.bitmap.ops import and_count
+from repro.bitmap.kernels import auto_count_many
 from repro.bitmap.wah import WAHBitVector
 
 
@@ -63,7 +63,8 @@ def _masked_counts(index: BitmapIndex, mask: WAHBitVector | None) -> np.ndarray:
     if mask is None:
         return index.bin_counts()
     return np.asarray(
-        [and_count(v, mask) for v in index.bitvectors], dtype=np.int64
+        [auto_count_many((v, mask), "and") for v in index.bitvectors],
+        dtype=np.int64,
     )
 
 

@@ -103,12 +103,12 @@ def impute_missing(
     Each missing position's B bin is recovered from the B index by
     AND-ing the missing mask with each B bitvector -- no raw B data.
     """
-    from repro.bitmap.ops import logical_and
+    from repro.bitmap.kernels import auto_op_many
 
     positions: list[np.ndarray] = []
     values: list[np.ndarray] = []
     for b_bin, vector in enumerate(index_b.bitvectors):
-        hit = logical_and(vector, missing_mask)
+        hit = auto_op_many((vector, missing_mask), "and")
         pos = hit.to_indices()
         if pos.size:
             positions.append(pos)

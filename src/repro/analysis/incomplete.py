@@ -20,7 +20,8 @@ import numpy as np
 
 from repro.analysis.queries import restricted_joint_counts
 from repro.bitmap.index import BitmapIndex
-from repro.bitmap.ops import and_count, logical_and, logical_not
+from repro.bitmap.kernels import auto_count_many, auto_op_many
+from repro.bitmap.ops import logical_not
 from repro.bitmap.units import n_units, unit_popcounts, unit_sizes
 from repro.bitmap.wah import WAHBitVector
 from repro.metrics.entropy import (
@@ -42,7 +43,8 @@ def masked_bin_counts(index: BitmapIndex, observed: WAHBitVector) -> np.ndarray:
             f"mask covers {observed.n_bits} bits, index {index.n_elements}"
         )
     return np.asarray(
-        [and_count(v, observed) for v in index.bitvectors], dtype=np.int64
+        [auto_count_many((v, observed), "and") for v in index.bitvectors],
+        dtype=np.int64,
     )
 
 
@@ -55,7 +57,7 @@ def pairwise_complete_mask(
     missing_a: WAHBitVector, missing_b: WAHBitVector
 ) -> WAHBitVector:
     """Positions observed in both variables (pairwise-complete analysis)."""
-    return logical_and(observed_mask(missing_a), observed_mask(missing_b))
+    return auto_op_many((observed_mask(missing_a), observed_mask(missing_b)), "and")
 
 
 def masked_mutual_information(

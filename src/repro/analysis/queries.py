@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bitmap.index import BitmapIndex
-from repro.bitmap.ops import logical_and
+from repro.bitmap.kernels import auto_op_many
 from repro.bitmap.wah import WAHBitVector
 from repro.bitmap.zorder import ZOrderLayout
 from repro.metrics.entropy import mutual_information_from_joint
@@ -135,12 +135,13 @@ def correlation_query(
     restricted joint histogram then feeds Equation 5.
     """
     n = index_a.n_elements
-    mask = WAHBitVector.ones(n)
+    masks = []
     if value_a is not None:
-        mask = logical_and(mask, value_subset_mask(index_a, value_a))
+        masks.append(value_subset_mask(index_a, value_a))
     if value_b is not None:
-        mask = logical_and(mask, value_subset_mask(index_b, value_b))
+        masks.append(value_subset_mask(index_b, value_b))
     if region is not None:
-        mask = logical_and(mask, spatial_subset_mask(n, region, layout))
+        masks.append(spatial_subset_mask(n, region, layout))
+    mask = auto_op_many(masks, "and") if masks else WAHBitVector.ones(n)
     joint = restricted_joint_counts(index_a, index_b, mask)
     return mutual_information_from_joint(joint)

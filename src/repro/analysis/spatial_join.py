@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.analysis.queries import ValueSubset, value_subset_mask
 from repro.bitmap.index import BitmapIndex
-from repro.bitmap.ops import and_count, logical_and
+from repro.bitmap.kernels import auto_count_many, auto_op_many
 from repro.bitmap.units import unit_popcounts
 from repro.bitmap.wah import WAHBitVector
 from repro.metrics.bitmap_metrics import joint_counts
@@ -48,7 +48,7 @@ def join_mask(
     _check(index_a, index_b)
     mask_a = value_subset_mask(index_a, predicate_a)
     mask_b = value_subset_mask(index_b, predicate_b)
-    return logical_and(mask_a, mask_b)
+    return auto_op_many((mask_a, mask_b), "and")
 
 
 def join_count(
@@ -61,7 +61,7 @@ def join_count(
     _check(index_a, index_b)
     mask_a = value_subset_mask(index_a, predicate_a)
     mask_b = value_subset_mask(index_b, predicate_b)
-    return and_count(mask_a, mask_b)
+    return auto_count_many((mask_a, mask_b), "and")
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from repro.analysis.queries import (
     value_subset_mask,
 )
 from repro.bitmap.index import BitmapIndex
-from repro.bitmap.ops import logical_and
+from repro.bitmap.kernels import auto_op_many
 from repro.bitmap.ordering import orderings_compatible
 from repro.bitmap.wah import WAHBitVector
 from repro.bitmap.zorder import ZOrderLayout
@@ -215,8 +215,9 @@ def predicate_mask(
 ) -> WAHBitVector:
     """The combined element mask a query's WHERE clause selects.
 
-    AND of every value predicate's bin-granular mask plus the optional
-    region mask; all-ones when there is no WHERE clause.  Public because
+    One fused AND (``repro.bitmap.kernels.auto_op_many``) of every value
+    predicate's bin-granular mask plus the optional region mask;
+    all-ones when there is no WHERE clause.  Public because
     the query service's scatter-gather path computes this per rank slab
     and splices the parts (`repro.service.shard`).
 
@@ -235,22 +236,22 @@ def predicate_mask(
             "joint results would not be row-aligned"
         )
     n = index_a.n_elements
-    mask = WAHBitVector.ones(n)
+    masks: list[WAHBitVector] = []
     for var, subset in query.value_predicates.items():
         if var not in (query.var_a, query.var_b):
             raise QueryError(
                 f"predicate on {var!r}, which is not in the FROM clause"
             )
         index = index_a if var == query.var_a else index_b
-        mask = logical_and(mask, value_subset_mask(index, _clamped(subset, index)))
+        masks.append(value_subset_mask(index, _clamped(subset, index)))
     if query.region is not None:
         if layout is None:
             raise QueryError("REGION clause requires a ZOrderLayout")
         region = spatial_subset_mask(n, query.region, layout)
         if ordering_a is not None:
             region = ordering_a.permute_mask(region)
-        mask = logical_and(mask, region)
-    return mask
+        masks.append(region)
+    return auto_op_many(masks, "and") if masks else WAHBitVector.ones(n)
 
 
 def query_joint_counts(

@@ -43,8 +43,6 @@ from repro.bitmap.codec import (
     codec_for_tag,
     codec_of,
     convert,
-    logical_op_any,
-    op_count_any,
     select_codec,
     to_wah,
 )
@@ -53,10 +51,6 @@ from repro.bitmap.kernels import (
     auto_count_many,
     auto_op_many,
     logical_accumulate,
-    logical_op_many,
-    logical_op_runmerge_many,
-    op_count_many,
-    op_count_runmerge_many,
     stack_groups,
 )
 from repro.bitmap.ordering import (
@@ -70,27 +64,7 @@ from repro.bitmap.ordering import (
 )
 from repro.bitmap.range_index import RangeBitmapIndex
 from repro.bitmap.roaring import RoaringBitVector
-from repro.bitmap.ops import (
-    and_count,
-    and_count_streaming,
-    auto_count,
-    auto_op,
-    prefers_runmerge,
-    logical_and,
-    logical_andnot,
-    logical_not,
-    logical_op,
-    logical_op_runmerge,
-    logical_op_streaming,
-    logical_or,
-    logical_xor,
-    op_count,
-    op_count_streaming,
-    or_count,
-    or_count_streaming,
-    xor_count,
-    xor_count_streaming,
-)
+from repro.bitmap.ops import logical_not, logical_op_streaming, prefers_runmerge
 from repro.bitmap.serialization import (
     LazyBitmapIndex,
     index_from_bytes,
@@ -149,8 +123,6 @@ __all__ = [
     "codec_for_tag",
     "codec_of",
     "convert",
-    "logical_op_any",
-    "op_count_any",
     "select_codec",
     "to_wah",
     "BitmapIndex",
@@ -165,33 +137,13 @@ __all__ = [
     "RoaringBitVector",
     "LevelSpec",
     "MultiLevelBitmapIndex",
-    "and_count",
-    "and_count_streaming",
-    "auto_count",
     "auto_count_many",
-    "auto_op",
     "auto_op_many",
     "logical_accumulate",
-    "logical_op_many",
-    "logical_op_runmerge_many",
-    "op_count_many",
-    "op_count_runmerge_many",
-    "prefers_runmerge",
     "stack_groups",
-    "logical_and",
-    "logical_andnot",
+    "prefers_runmerge",
     "logical_not",
-    "logical_op",
-    "logical_op_runmerge",
     "logical_op_streaming",
-    "logical_or",
-    "logical_xor",
-    "op_count",
-    "op_count_streaming",
-    "or_count",
-    "or_count_streaming",
-    "xor_count",
-    "xor_count_streaming",
     "LazyBitmapIndex",
     "index_from_bytes",
     "index_to_bytes",

@@ -18,7 +18,7 @@ Compared to WAH's 31-bit groups, the byte granularity captures shorter
 runs (tighter compression on moderately dirty data) at the cost of
 unaligned operations.  Logical ops here decode to the byte domain,
 apply the numpy kernel and re-encode -- the byte-domain analogue of
-:func:`repro.bitmap.ops.logical_op`.
+the dense path of ``repro.bitmap.kernels.auto_op_many``.
 """
 
 from __future__ import annotations

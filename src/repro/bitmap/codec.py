@@ -2,9 +2,8 @@
 
 Everything above the codec boundary -- the builder, serialization, the
 query service, the cluster splice -- speaks to compressed bitvectors
-through a :class:`Codec`: ``encode`` / ``decode`` (u32 payload framing),
-``logical_op`` / ``op_count`` / ``count``, and geometry accessors.  Three
-backends register here:
+through a :class:`Codec`: ``encode`` / ``decode`` (u32 payload framing)
+and geometry accessors.  Three backends register here:
 
 ========  ===  =========================================================
 name      tag  backend
@@ -30,16 +29,20 @@ The tag is what the V2.1 record format stores per bitvector (see
 error on unknown tags so future codecs fail loudly, not silently.
 
 :func:`select_codec` is the density-driven build-time policy, the codec
-sibling of the PR-1 kernel dispatchers: run-structured bins stay WAH
-(the streaming kernels win there), dense and very sparse bins go
+sibling of the kernel ladder's route rule: run-structured bins stay WAH
+(the run merge wins there), dense and very sparse bins go
 Roaring, and incompressible mid-density bins go WAH64.  The policy is a
 pure function of (compression ratio, density), so index builds remain
 deterministic.
 
-Mixed-codec operations (:func:`logical_op_any` / :func:`op_count_any`)
-convert operands to the WAH word domain at the merge boundary -- the
-same convention the service and cluster layers use, which is what keeps
-masks byte-identical across codec choices.
+Combines and counts are not a codec method: the kernel ladder's two
+entries (``repro.bitmap.kernels.auto_op_many`` /
+``repro.bitmap.kernels.auto_count_many``) accept any mix of codecs and
+convert operands to the WAH word domain (:func:`to_wah`) at that merge
+boundary -- the same convention the service and cluster layers use,
+which is what keeps masks byte-identical across codec choices.  Roaring
+and WAH64 vectors keep their native operators (``&``, ``|``, ``^``,
+``andnot`` and Roaring's ``*_count``) for code that stays in one codec.
 """
 
 from __future__ import annotations
@@ -55,8 +58,6 @@ from repro.util.bits import groups_needed
 
 #: Any compressed bitvector the codec layer understands.
 BitVectorAny = Union[WAHBitVector, RoaringBitVector, WAH64BitVector]
-
-_OPS = ("and", "or", "xor", "andnot")
 
 
 class Codec:
@@ -104,25 +105,8 @@ class Codec:
         """Exact payload word count without materialising the payload."""
         raise NotImplementedError
 
-    # ------------------------------------------------------------ algebra
-    def count(self, vec: BitVectorAny) -> int:
-        return vec.count()
-
-    def logical_op(self, a: BitVectorAny, b: BitVectorAny, op: str) -> BitVectorAny:
-        """``op(a, b)`` for two vectors of *this* codec."""
-        raise NotImplementedError
-
-    def op_count(self, a: BitVectorAny, b: BitVectorAny, op: str) -> int:
-        """``popcount(op(a, b))`` for two vectors of *this* codec."""
-        return self.logical_op(a, b, op).count()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Codec {self.name} tag={self.tag}>"
-
-
-def _check_op(op: str) -> None:
-    if op not in _OPS:
-        raise ValueError(f"unknown op {op!r}; expected one of {sorted(_OPS)}")
 
 
 class WAHCodec(Codec):
@@ -145,15 +129,6 @@ class WAHCodec(Codec):
     def payload_n_words(self, vec: WAHBitVector) -> int:
         return vec.n_words
 
-    def logical_op(self, a: WAHBitVector, b: WAHBitVector, op: str) -> WAHBitVector:
-        from repro.bitmap.ops import auto_op
-
-        return auto_op(a, b, op)
-
-    def op_count(self, a: WAHBitVector, b: WAHBitVector, op: str) -> int:
-        from repro.bitmap.ops import auto_count
-
-        return auto_count(a, b, op)
 
 
 class RoaringCodec(Codec):
@@ -177,27 +152,6 @@ class RoaringCodec(Codec):
     def payload_n_words(self, vec: RoaringBitVector) -> int:
         return vec.n_words
 
-    def logical_op(
-        self, a: RoaringBitVector, b: RoaringBitVector, op: str
-    ) -> RoaringBitVector:
-        _check_op(op)
-        if op == "and":
-            return a & b
-        if op == "or":
-            return a | b
-        if op == "xor":
-            return a ^ b
-        return a.andnot(b)
-
-    def op_count(self, a: RoaringBitVector, b: RoaringBitVector, op: str) -> int:
-        _check_op(op)
-        if op == "and":
-            return a.and_count(b)
-        if op == "or":
-            return a.or_count(b)
-        if op == "xor":
-            return a.xor_count(b)
-        return a.andnot_count(b)
 
 
 class WAH64Codec(Codec):
@@ -220,17 +174,6 @@ class WAH64Codec(Codec):
     def payload_n_words(self, vec: WAH64BitVector) -> int:
         return 2 * vec.n_words
 
-    def logical_op(
-        self, a: WAH64BitVector, b: WAH64BitVector, op: str
-    ) -> WAH64BitVector:
-        _check_op(op)
-        if op == "and":
-            return a & b
-        if op == "or":
-            return a | b
-        if op == "xor":
-            return a ^ b
-        return a.andnot(b)
 
 
 #: Registered codecs by name.
@@ -331,36 +274,6 @@ def select_codec(vec: WAHBitVector) -> Codec:
     if density >= SELECT_ROARING_DENSE or density <= SELECT_ROARING_SPARSE:
         return CODECS["roaring"]
     return CODECS["wah64"]
-
-
-# ------------------------------------------------------ mixed-codec algebra
-def logical_op_any(a: BitVectorAny, b: BitVectorAny, op: str) -> BitVectorAny:
-    """``op(a, b)`` across arbitrary codec combinations.
-
-    Same-codec pairs use the codec's native kernels and stay in that
-    codec; mixed pairs convert to the WAH word domain (the merge-boundary
-    convention) and return a WAH vector.
-    """
-    if a.n_bits != b.n_bits:
-        raise ValueError(f"operand length mismatch: {a.n_bits} != {b.n_bits} bits")
-    ca, cb = codec_of(a), codec_of(b)
-    if ca is cb:
-        return ca.logical_op(a, b, op)
-    from repro.bitmap.ops import auto_op
-
-    return auto_op(to_wah(a), to_wah(b), op)
-
-
-def op_count_any(a: BitVectorAny, b: BitVectorAny, op: str = "and") -> int:
-    """``popcount(op(a, b))`` across arbitrary codec combinations."""
-    if a.n_bits != b.n_bits:
-        raise ValueError(f"operand length mismatch: {a.n_bits} != {b.n_bits} bits")
-    ca, cb = codec_of(a), codec_of(b)
-    if ca is cb:
-        return ca.op_count(a, b, op)
-    from repro.bitmap.ops import auto_count
-
-    return auto_count(to_wah(a), to_wah(b), op)
 
 
 def as_wah_all(vectors: Sequence[BitVectorAny]) -> list[WAHBitVector]:

@@ -155,7 +155,7 @@ class BitmapIndex:
     def compression_ratio(self) -> float:
         """Mean serialised ``uint32`` words per uncompressed 31-bit group
         across all bins (lower is better; for all-WAH indices this is the
-        dispatch signal of :mod:`repro.bitmap.ops`, unchanged)."""
+        dispatch signal of :func:`~repro.bitmap.ops.prefers_runmerge`)."""
         total_groups = self.n_bins * groups_needed(self.n_elements)
         if total_groups == 0:
             return 1.0

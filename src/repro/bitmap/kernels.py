@@ -1,62 +1,56 @@
-"""Fused k-way kernels over WAH bitvectors -- the multi-operand hot tier.
+"""The kernel ladder: every bitwise combine and count over k >= 1 operands.
 
-The pairwise kernels of :mod:`repro.bitmap.ops` force every multi-operand
-combination (OR-ing the bins of a range predicate, AND-ing per-variable
-masks, rolling a level up by fanout) through a Python ``reduce`` that
-materialises k - 1 intermediate WAH vectors and decodes each of them
-again for the next step.  This module fuses those folds:
+The paper's analyses need one thing from the codec: popcounts and joint
+bitvectors of AND / OR / XOR (and ANDNOT) over compressed bins -- joint
+distributions and spatial EMD (§3.2), Algorithm 2's m x n ANDs (§4.2),
+range predicates and level rollups (ORs).  Two public entries serve all
+of them, for any operand count and any registered codec:
 
-* :func:`logical_op_many` / :func:`op_count_many` -- the **dense path**:
-  each operand is decoded exactly once into a stacked ``(k, chunk)``
-  group matrix and reduced with a single ``np.bitwise_or.reduce`` /
-  ``bitwise_and.reduce`` / ``bitwise_xor.reduce`` sweep.  The sweep is
-  chunked along the group axis so peak extra memory is bounded by
-  :data:`KWAY_CHUNK_BYTES` regardless of k or vector length; only the
-  single result group array (for the materialising form) spans the full
-  length.
+* :func:`auto_op_many` -- ``op(v1, ..., vk)`` materialised as WAH;
+* :func:`auto_count_many` -- ``popcount(op(v1, ..., vk))``, no result.
 
-* :func:`logical_op_runmerge_many` / :func:`op_count_runmerge_many` --
-  the **compressed path**: a multi-cursor run merge.  Every operand's
-  memoised run decode (:meth:`~repro.bitmap.wah.WAHBitVector.runs`)
-  contributes its boundaries to one sorted union; ``searchsorted``
-  advances all k cursors at once, yielding a ``(k, segments)`` value
-  matrix that the same ufunc reduce collapses.  A fill x ... x fill
-  span contributes O(1) work however many groups it covers, so cost is
-  O(sum of runs), never O(k x groups).
+Pairwise is simply k = 2.  Each entry converts non-WAH operands to WAH
+at this merge boundary (:func:`~repro.bitmap.codec.to_wah`), so results
+never depend on the storage codec, then picks one of two private paths
+with :func:`~repro.bitmap.ops.prefers_runmerge`:
 
-* :func:`logical_accumulate` -- the prefix-scan sibling (cumulative
-  OR/AND/XOR), feeding :class:`~repro.bitmap.range_index.RangeBitmapIndex`
-  construction: one decode per operand, one ``ufunc.accumulate`` sweep
-  per chunk, per-chunk recompression stitched with the seam-merging
-  concatenator.
+* the **dense path** (``_op_dense`` / ``_count_dense``): each operand is
+  decoded exactly once into a stacked ``(k, chunk)`` group matrix and
+  reduced with a single ``ufunc.reduce`` sweep, chunked along the group
+  axis so peak extra memory is bounded by :data:`KWAY_CHUNK_BYTES`;
+* the **run-merge path** (``_op_runmerge`` / ``_count_runmerge``): every
+  operand's memoised run decode
+  (:meth:`~repro.bitmap.wah.WAHBitVector.runs`) contributes its
+  boundaries to one packed-key merge (``_merged_segments``), yielding a
+  ``(k, segments)`` value matrix that the same ufunc reduce collapses.
+  A fill x ... x fill span costs O(1) however many groups it covers, so
+  cost is O(sum of runs), never O(k x groups).
 
-* :func:`stack_groups` -- the shared decode-once helper behind
-  :meth:`~repro.bitmap.index.BitmapIndex.group_matrix` and the analysis
-  layers' joint kernels (rows written straight into one preallocated
-  matrix).
+The route threshold is k-aware: every operand must compress to at or
+below :data:`~repro.bitmap.ops.STREAMING_COUNT_RATIO_THRESHOLD` (0.05) at
+k = 2 and :data:`KWAY_RUNMERGE_RATIO_THRESHOLD` (0.01) at k >= 3, both
+calibrated by ``benchmarks/bench_kernel_dispatch.py`` (DESIGN.md,
+"Kernel dispatch policy").  Both paths are word-identical to the left
+fold of the scalar oracle :func:`~repro.bitmap.ops.logical_op_streaming`
+(property-tested), so the route is purely a performance decision.  The
+non-associative ``andnot`` keeps left-fold semantics:
+``andnot(a, b, c) == a AND NOT (b OR c)``.
 
-:func:`auto_op_many` / :func:`auto_count_many` dispatch between the two
-paths with :func:`~repro.bitmap.ops.prefers_runmerge` -- the same
-compression-ratio rule the pairwise dispatchers use, with thresholds
-recalibrated for hardware popcount and k-way fusion by
-``benchmarks/bench_kernel_dispatch.py`` (see DESIGN.md, "Kernel dispatch
-policy").
-
-All k-way paths are bit-identical to the pairwise left fold
-``reduce(lambda x, y: op(x, y), vectors)`` (property-tested across the
-binning families), so dispatch remains purely a performance decision.
-The non-associative ``andnot`` keeps left-fold semantics:
-``reduce(andnot, [a, b, c]) == a AND NOT (b OR c)``, which is how both
-paths evaluate it.
+Two helpers share the decode: :func:`logical_accumulate` (every prefix
+fold at once, feeding
+:class:`~repro.bitmap.range_index.RangeBitmapIndex` construction) and
+:func:`stack_groups` (the ``(k, n_groups)`` matrix behind
+:meth:`~repro.bitmap.index.BitmapIndex.group_matrix`).
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.bitmap.ops import prefers_runmerge
+from repro.bitmap.codec import as_wah_all
+from repro.bitmap.ops import STREAMING_COUNT_RATIO_THRESHOLD, prefers_runmerge
 from repro.bitmap.wah import WAHBitVector, compress_groups, compress_runs
 from repro.util.bits import (
     GROUP_BITS,
@@ -74,12 +68,13 @@ from repro.util.bits import (
 KWAY_CHUNK_BYTES = 8 << 20
 
 #: Compression-ratio threshold at or below which *every* operand must sit
-#: for the k-way dispatchers to take the multi-cursor run merge.  Far
-#: below the pairwise thresholds (0.05): the fused dense sweep costs one
-#: hardware-rate pass per operand, while the merge pays an O(sum of runs
-#: x log) boundary-union sort that grows with k -- at k = 8 the measured
-#: crossover sits near ratio 0.01 (``benchmarks/bench_kernel_dispatch.py``,
-#: k-way table; DESIGN.md "Kernel dispatch policy").
+#: for a k >= 3 combine to take the run merge (k = 2 uses
+#: :data:`~repro.bitmap.ops.STREAMING_COUNT_RATIO_THRESHOLD`).  The fused
+#: dense sweep costs one hardware-rate pass per operand, while the merge
+#: pays a boundary sort plus one prefix count per operand over the
+#: merged boundaries, both growing with k -- at k = 8 the measured
+#: crossover sits near ratio 0.01 (``benchmarks/bench_kernel_dispatch.py``;
+#: DESIGN.md "Kernel dispatch policy").
 KWAY_RUNMERGE_RATIO_THRESHOLD = 0.01
 
 #: Ufuncs whose ``reduce``/``accumulate`` implement the associative ops.
@@ -90,19 +85,13 @@ _UFUNCS = {
 }
 
 
-def _coerce_wah_many(vectors: Sequence) -> Sequence[WAHBitVector]:
-    """Convert a possibly-mixed-codec operand list to the WAH word domain.
-
-    The k-way merge boundary of the codec layer
-    (:mod:`repro.bitmap.codec`): all-WAH inputs pass through untouched;
-    any other codec's vectors are re-encoded as WAH so every fused fold
-    produces words independent of how the operands were stored.
-    """
-    if all(type(v) is WAHBitVector for v in vectors):
-        return vectors
-    from repro.bitmap.codec import as_wah_all
-
-    return as_wah_all(vectors)
+def _as_wah(vectors: Sequence) -> Sequence[WAHBitVector]:
+    """The merge boundary: all-WAH operand lists pass through untouched,
+    any other codec's vectors are re-encoded as WAH."""
+    for v in vectors:
+        if type(v) is not WAHBitVector:
+            return as_wah_all(vectors)
+    return vectors
 
 
 def _check_many(vectors: Sequence[WAHBitVector], op: str) -> None:
@@ -118,11 +107,6 @@ def _check_many(vectors: Sequence[WAHBitVector], op: str) -> None:
             raise ValueError(
                 f"operand length mismatch: {v.n_bits} != {n_bits} bits"
             )
-
-
-def _chunk_groups_for(k: int, chunk_bytes: int) -> int:
-    """Chunk width (in groups) bounding the stacked matrix to chunk_bytes."""
-    return max(1, chunk_bytes // (4 * max(1, k)))
 
 
 def _expand_slice(vec: WAHBitVector, lo: int, hi: int, out: np.ndarray) -> None:
@@ -141,24 +125,37 @@ def _expand_slice(vec: WAHBitVector, lo: int, hi: int, out: np.ndarray) -> None:
     out[:] = np.repeat(vals[i0:i1], sub_ends - sub_starts)
 
 
+def _sweep(
+    vectors: Sequence[WAHBitVector], chunk_bytes: int
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield ``(lo, hi, mat)``: groups ``[lo, hi)`` of every operand
+    decoded into the rows of one reused ``(k, hi - lo)`` buffer of at
+    most ``chunk_bytes``."""
+    k = len(vectors)
+    n_groups = groups_needed(vectors[0].n_bits)
+    chunk = max(1, chunk_bytes // (4 * k))
+    buf = np.empty((k, min(chunk, n_groups)), dtype=np.uint32)
+    for lo in range(0, n_groups, chunk):
+        hi = min(lo + chunk, n_groups)
+        mat = buf[:, : hi - lo]
+        for i, v in enumerate(vectors):
+            _expand_slice(v, lo, hi, mat[i])
+        yield lo, hi, mat
+
+
 def stack_groups(
-    vectors: Sequence[WAHBitVector],
-    n_bits: int | None = None,
-    *,
-    mask_padding: bool = True,
+    vectors: Sequence[WAHBitVector], n_bits: int | None = None
 ) -> np.ndarray:
     """Decode each vector once into a ``(k, n_groups)`` uint32 matrix.
 
     The rows are written straight into one preallocated matrix (no
-    intermediate list-of-rows + ``vstack`` copy).  With ``mask_padding``
-    the final column is masked to the valid bits of ``n_bits`` --
-    callers treating the matrix as a shared working set (the analysis
-    layers) want that; the fused sweeps skip it because zero padding is
-    already invariant under every supported op.
+    intermediate list-of-rows + ``vstack`` copy), and the final column is
+    masked to the valid bits of ``n_bits``, so the matrix is a safe
+    shared working set for the analysis layers.  Any codec.
     """
     if not vectors:
         return np.empty((0, 0), dtype=np.uint32)
-    vectors = _coerce_wah_many(vectors)
+    vectors = _as_wah(vectors)
     if n_bits is None:
         n_bits = vectors[0].n_bits
     n_groups = groups_needed(n_bits)
@@ -170,7 +167,7 @@ def stack_groups(
             )
         if n_groups:
             _expand_slice(v, 0, n_groups, out[i])
-    if mask_padding and out.size and n_bits:
+    if out.size and n_bits:
         out[:, -1] &= last_group_mask(n_bits)
     return out
 
@@ -179,169 +176,145 @@ def _reduce_rows(mat: np.ndarray, op: str) -> np.ndarray:
     """Fold ``op`` across axis 0 of a ``(k, m)`` group matrix.
 
     Left-fold semantics throughout; ``andnot`` folds as
-    ``row0 AND NOT (row1 OR ... OR rowk-1)``.
+    ``row0 AND NOT (row1 OR ... OR rowk-1)``.  Padding bits stay zero for
+    every op: all operands keep padding zero, and ``andnot`` complements
+    only non-leading rows, which the first row's zero padding masks off.
     """
     if op == "andnot":
-        if mat.shape[0] == 1:
-            return mat[0].copy()
         rest = np.bitwise_or.reduce(mat[1:], axis=0)
         return mat[0] & (rest ^ GROUP_FULL)
     return _UFUNCS[op].reduce(mat, axis=0)
 
 
 # --------------------------------------------------------------- dense path
-def logical_op_many(
+def _op_dense(
     vectors: Sequence[WAHBitVector],
     op: str,
     *,
     chunk_bytes: int = KWAY_CHUNK_BYTES,
 ) -> WAHBitVector:
-    """Fused ``op`` over k operands, decoding each exactly once.
+    """``op`` over k WAH operands, decoding each exactly once.
 
-    Equivalent to the pairwise left fold ``reduce(logical_op, vectors)``
-    (bit-identical, property-tested) but with one decode per operand and
-    one ufunc reduce instead of k - 1 intermediate WAH materialisations.
     Peak extra memory is ``min(k * n_groups, chunk_bytes / 4)`` stacked
     words plus the single result group array.
     """
     _check_many(vectors, op)
     n_bits = vectors[0].n_bits
-    n_groups = groups_needed(n_bits)
-    if n_groups == 0:
-        return WAHBitVector(np.empty(0, dtype=np.uint32), n_bits)
-    k = len(vectors)
-    if k == 1:
+    if len(vectors) == 1 or n_bits == 0:
         return vectors[0]
-    result = np.empty(n_groups, dtype=np.uint32)
-    chunk = _chunk_groups_for(k, chunk_bytes)
-    buf = np.empty((k, min(chunk, n_groups)), dtype=np.uint32)
-    for lo in range(0, n_groups, chunk):
-        hi = min(lo + chunk, n_groups)
-        mat = buf[:, : hi - lo]
-        for i, v in enumerate(vectors):
-            _expand_slice(v, lo, hi, mat[i])
+    result = np.empty(groups_needed(n_bits), dtype=np.uint32)
+    for lo, hi, mat in _sweep(vectors, chunk_bytes):
         result[lo:hi] = _reduce_rows(mat, op)
-    # Padding bits stay zero for every supported op (all operands keep
-    # padding zero; andnot complements only non-leading operands, which
-    # the first operand's zero padding masks off) -- no final mask needed.
     return WAHBitVector(compress_groups(result), n_bits)
 
 
-def op_count_many(
+def _count_dense(
     vectors: Sequence[WAHBitVector],
     op: str,
     *,
     chunk_bytes: int = KWAY_CHUNK_BYTES,
 ) -> int:
-    """``popcount(op(v1, ..., vk))`` without materialising any result.
-
-    The count-only sibling of :func:`logical_op_many`: the reduced chunk
-    goes straight to the hardware popcount, so no full-length array of
-    any kind is allocated.
-    """
+    """``popcount(op(v1, ..., vk))``: each reduced chunk goes straight to
+    the hardware popcount, so no full-length array is allocated."""
     _check_many(vectors, op)
-    n_bits = vectors[0].n_bits
-    n_groups = groups_needed(n_bits)
-    if n_groups == 0:
-        return 0
-    k = len(vectors)
-    if k == 1:
+    if len(vectors) == 1:
         return vectors[0].count()
-    total = 0
-    chunk = _chunk_groups_for(k, chunk_bytes)
-    buf = np.empty((k, min(chunk, n_groups)), dtype=np.uint32)
-    for lo in range(0, n_groups, chunk):
-        hi = min(lo + chunk, n_groups)
-        mat = buf[:, : hi - lo]
-        for i, v in enumerate(vectors):
-            _expand_slice(v, lo, hi, mat[i])
-        total += popcount_total(_reduce_rows(mat, op))
-    return total
+    return sum(
+        popcount_total(_reduce_rows(mat, op))
+        for _, _, mat in _sweep(vectors, chunk_bytes)
+    )
 
 
-# ---------------------------------------------------------- compressed path
-def _merged_segments_many(
+# --------------------------------------------------------- run-merge path
+def _merged_segments(
     vectors: Sequence[WAHBitVector],
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Multi-cursor run merge: aligned segments across all k operands.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merge k compressed streams into aligned segments, never expanding.
 
-    Returns ``(seg, vals)`` where segment ``j`` covers ``seg[j]`` groups
-    over which operand ``i`` uniformly holds group value ``vals[i, j]``
-    (or ``None`` for empty vectors).  The boundary union is one sorted
-    ``np.unique`` over every operand's run ends; each operand's covering
-    run per segment is a vectorised ``searchsorted`` into its own run
-    decode -- the k-cursor generalisation of the pairwise packed-key
-    merge, O(sum of runs x log k) with no Python-level cursor stepping.
+    Returns ``(seg, vals)``: segment ``j`` covers ``seg[j]`` groups over
+    which operand ``i`` uniformly holds group value ``vals[i, j]``.  Any
+    segment longer than one group is fill-only in *every* operand
+    (literal runs span one group, and their boundary would have split
+    it), so multi-group segments always reduce to a fillable value --
+    the invariant :func:`~repro.bitmap.wah.compress_runs` needs.
+    Zero-length segments (tied boundaries) carry arbitrary in-range
+    values and are harmless to counts and to ``compress_runs``.
 
-    Any segment longer than one group is fill-only in *every* operand
-    (literal runs span exactly one group and their single boundary would
-    have split it), so multi-group segments always reduce to a fillable
-    value -- the invariant :func:`~repro.bitmap.wah.compress_runs` needs.
+    The run ends of all operands (memoised by
+    :meth:`WAHBitVector.runs`) merge in one stable sort of packed keys
+    ``end << shift | operand``; each input is already sorted, so the sort
+    is a k-run merge, and the operand tag breaks ties by operand.  A
+    segment of positive length starts its tie group, so the run of
+    operand ``i`` covering it is the count of ``i``'s keys before it: a
+    prefix count per operand.  At k = 2 that is one ``cumsum`` of the
+    tag (operand 0 holds the remainder), the old pairwise merge's
+    arithmetic; at k >= 3 one scatter + row ``cumsum`` over a
+    ``(k, segments)`` matrix counts every operand at once.
     """
     runs = [v.runs() for v in vectors]
-    if any(ends.size == 0 for ends, _ in runs):
-        if not all(ends.size == 0 for ends, _ in runs):
-            raise AssertionError("operand word streams encode different lengths")
-        return None
-    total = runs[0][0][-1]
-    for ends, _ in runs[1:]:
-        if ends[-1] != total:
-            raise AssertionError("operand word streams encode different lengths")
-    bounds = np.unique(np.concatenate([ends for ends, _ in runs]))
-    seg = np.diff(bounds, prepend=0)
-    vals = np.empty((len(vectors), bounds.size), dtype=np.uint32)
-    for i, (ends, run_vals) in enumerate(runs):
-        # The run covering groups (bounds[j-1], bounds[j]] is the first
-        # run whose end offset is >= bounds[j].
-        vals[i] = run_vals[np.searchsorted(ends, bounds, side="left")]
-    return seg, vals
+    k = len(runs)
+    sizes = [ends.size for ends, _ in runs]
+    shift = max(1, (k - 1).bit_length())
+    packed = np.concatenate([ends for ends, _ in runs])
+    packed <<= shift
+    packed |= np.repeat(np.arange(k), sizes)
+    packed.sort(kind="stable")
+    # Every stream ends at the same group count, so the last k keys (one
+    # per operand) tie; dropping all but the first of them keeps every
+    # prefix count below in range.
+    if packed[-k] >> shift != packed[-1] >> shift:
+        raise AssertionError("operand word streams encode different lengths")
+    n = packed.size - k + 1
+    bounds = packed[:n] >> shift
+    seg = np.empty_like(bounds)
+    seg[0] = bounds[0]
+    np.subtract(bounds[1:], bounds[:-1], out=seg[1:])
+    source = packed[: n - 1] & ((1 << shift) - 1)
+    if k == 2:
+        seen = np.zeros(n, dtype=np.int64)
+        np.cumsum(source, out=seen[1:])
+        vals = np.empty((2, n), dtype=np.uint32)
+        np.take(runs[1][1], seen, out=vals[1])
+        np.take(runs[0][1], np.arange(n) - seen, out=vals[0])
+        return seg, vals
+    seen = np.zeros((k, n), dtype=np.int64)
+    seen[source, np.arange(1, n)] = 1
+    np.cumsum(seen, axis=1, out=seen)
+    seen += np.cumsum([0] + sizes[:-1])[:, None]
+    return seg, np.concatenate([run_vals for _, run_vals in runs])[seen]
 
 
-def op_count_runmerge_many(vectors: Sequence[WAHBitVector], op: str) -> int:
-    """``popcount(op(v1, ..., vk))`` computed on the compressed streams.
+def _op_runmerge(vectors: Sequence[WAHBitVector], op: str) -> WAHBitVector:
+    """``op`` over k WAH operands without leaving the compressed domain:
+    merged segment values re-encode straight from run-length form, so
+    cost is O(sum of runs), not O(k x groups)."""
+    _check_many(vectors, op)
+    n_bits = vectors[0].n_bits
+    if len(vectors) == 1 or n_bits == 0:
+        return vectors[0]
+    seg, vals = _merged_segments(vectors)
+    return WAHBitVector(compress_runs(_reduce_rows(vals, op), seg), n_bits)
 
-    Each merged segment contributes ``popcount(fold) * segment_groups``;
-    nothing is expanded to the group domain, so a billion-bit fill costs
-    the same as one literal in every operand.
-    """
+
+def _count_runmerge(vectors: Sequence[WAHBitVector], op: str) -> int:
+    """``popcount(op(v1, ..., vk))`` on the compressed streams: each
+    merged segment contributes ``popcount(fold) * segment_groups``, so a
+    billion-bit fill costs the same as one literal.  Padding needs no
+    masking (see :func:`_reduce_rows`)."""
     _check_many(vectors, op)
     if len(vectors) == 1:
         return vectors[0].count()
-    merged = _merged_segments_many(vectors)
-    if merged is None:
+    if vectors[0].n_bits == 0:
         return 0
-    seg, vals = merged
+    seg, vals = _merged_segments(vectors)
     out = _reduce_rows(vals, op)
     nz = np.flatnonzero(out)
-    if nz.size == 0:
-        return 0
     return int((popcount_u32(out[nz]).astype(np.int64) * seg[nz]).sum())
-
-
-def logical_op_runmerge_many(
-    vectors: Sequence[WAHBitVector], op: str
-) -> WAHBitVector:
-    """Fused ``op`` over k operands without leaving the compressed domain.
-
-    The materialising sibling of :func:`op_count_runmerge_many`: merged
-    segment values re-encode straight from run-length form, so cost is
-    O(sum of runs), not O(k x groups).
-    """
-    _check_many(vectors, op)
-    if len(vectors) == 1:
-        return vectors[0]
-    merged = _merged_segments_many(vectors)
-    if merged is None:
-        return WAHBitVector(np.empty(0, dtype=np.uint32), vectors[0].n_bits)
-    seg, vals = merged
-    return WAHBitVector(
-        compress_runs(_reduce_rows(vals, op), seg), vectors[0].n_bits
-    )
 
 
 # -------------------------------------------------------------- prefix scan
 def logical_accumulate(
-    vectors: Sequence[WAHBitVector],
+    vectors: Sequence,
     op: str = "or",
     *,
     chunk_bytes: int = KWAY_CHUNK_BYTES,
@@ -354,79 +327,63 @@ def logical_accumulate(
     sweep produces every prefix simultaneously, and per-chunk
     recompressions stitch seam-merged via
     :func:`~repro.bitmap.builder.concatenate_bitvectors` -- bit-identical
-    to the pairwise loop (property-tested).  ``andnot`` is not a ufunc
-    accumulate; the three associative ops are supported.
+    to the pairwise loop (property-tested).  Any codec (converted to WAH
+    at entry).  ``andnot`` is not a ufunc accumulate; the three
+    associative ops are supported.
     """
     if op not in _UFUNCS:
         raise ValueError(f"unknown accumulate op {op!r}; expected one of {sorted(_UFUNCS)}")
+    vectors = _as_wah(vectors)
     _check_many(vectors, op)
     from repro.bitmap.builder import concatenate_bitvectors
 
     n_bits = vectors[0].n_bits
+    if n_bits == 0 or len(vectors) == 1:
+        return list(vectors)
     n_groups = groups_needed(n_bits)
-    k = len(vectors)
-    if n_groups == 0:
-        return [WAHBitVector(np.empty(0, dtype=np.uint32), n_bits) for _ in vectors]
-    if k == 1:
-        return [vectors[0]]
-    chunk = _chunk_groups_for(k, chunk_bytes)
-    pieces: list[list[WAHBitVector]] = [[] for _ in range(k)]
-    buf = np.empty((k, min(chunk, n_groups)), dtype=np.uint32)
-    ufunc = _UFUNCS[op]
-    for lo in range(0, n_groups, chunk):
-        hi = min(lo + chunk, n_groups)
-        mat = buf[:, : hi - lo]
-        for i, v in enumerate(vectors):
-            _expand_slice(v, lo, hi, mat[i])
-        ufunc.accumulate(mat, axis=0, out=mat)
+    pieces: list[list[WAHBitVector]] = [[] for _ in vectors]
+    for lo, hi, mat in _sweep(vectors, chunk_bytes):
+        _UFUNCS[op].accumulate(mat, axis=0, out=mat)
         piece_bits = (
-            (hi - lo) * GROUP_BITS
-            if hi < n_groups
-            else n_bits - lo * GROUP_BITS
+            (hi - lo) * GROUP_BITS if hi < n_groups else n_bits - lo * GROUP_BITS
         )
-        for i in range(k):
-            pieces[i].append(
-                WAHBitVector(compress_groups(mat[i]), piece_bits)
-            )
+        for parts, row in zip(pieces, mat):
+            parts.append(WAHBitVector(compress_groups(row), piece_bits))
     return [
         parts[0] if len(parts) == 1 else concatenate_bitvectors(parts)
         for parts in pieces
     ]
 
 
-# ------------------------------------------------------- density dispatchers
-def auto_op_many(
-    vectors: Sequence[WAHBitVector],
-    op: str,
-    *,
-    threshold: float | None = None,
-) -> WAHBitVector:
-    """Fused k-way ``op`` routed by operand density (any codec).
+# ------------------------------------------------------------- the entries
+def _runmerge_wins(vectors: Sequence[WAHBitVector]) -> bool:
+    """The one route decision, with the k-aware calibrated threshold."""
+    t = (
+        STREAMING_COUNT_RATIO_THRESHOLD
+        if len(vectors) == 2
+        else KWAY_RUNMERGE_RATIO_THRESHOLD
+    )
+    return prefers_runmerge(vectors, t)
 
-    When *every* operand compresses to at or below
-    :data:`KWAY_RUNMERGE_RATIO_THRESHOLD` the multi-cursor run merge
-    wins; otherwise the chunked dense sweep runs.  Bit-identical either
-    way (property-tested), so dispatch is purely a performance decision.
+
+def auto_op_many(vectors: Sequence, op: str) -> WAHBitVector:
+    """``op(v1, ..., vk)`` for any k >= 1 and any codec, as WAH.
+
     Non-WAH operands convert at this merge boundary, so the result words
-    never depend on the storage codec.
+    never depend on the storage codec; the run merge runs when every
+    operand compresses below the k-aware threshold, the dense sweep
+    otherwise.  Word-identical either way (property-tested).
     """
-    vectors = _coerce_wah_many(vectors)
-    t = KWAY_RUNMERGE_RATIO_THRESHOLD if threshold is None else threshold
-    if prefers_runmerge(vectors, t):
-        return logical_op_runmerge_many(vectors, op)
-    return logical_op_many(vectors, op)
+    vectors = _as_wah(vectors)
+    if _runmerge_wins(vectors):
+        return _op_runmerge(vectors, op)
+    return _op_dense(vectors, op)
 
 
-def auto_count_many(
-    vectors: Sequence[WAHBitVector],
-    op: str = "and",
-    *,
-    threshold: float | None = None,
-) -> int:
-    """``popcount`` of the fused k-way ``op``, routed by operand density
-    (any codec; non-WAH operands convert at this merge boundary)."""
-    vectors = _coerce_wah_many(vectors)
-    t = KWAY_RUNMERGE_RATIO_THRESHOLD if threshold is None else threshold
-    if prefers_runmerge(vectors, t):
-        return op_count_runmerge_many(vectors, op)
-    return op_count_many(vectors, op)
+def auto_count_many(vectors: Sequence, op: str = "and") -> int:
+    """``popcount(op(v1, ..., vk))`` for any k >= 1 and any codec, routed
+    like :func:`auto_op_many`; no result vector is built."""
+    vectors = _as_wah(vectors)
+    if _runmerge_wins(vectors):
+        return _count_runmerge(vectors, op)
+    return _count_dense(vectors, op)

@@ -1,50 +1,24 @@
-"""Bitwise operations on WAH-compressed bitvectors.
+"""Shared pieces of the kernel ladder: the route rule, NOT, and the oracle.
 
-Three implementations are provided:
+Every bitwise combine and count over compressed bins goes through the two
+entries of :mod:`repro.bitmap.kernels`
+(``repro.bitmap.kernels.auto_op_many`` / ``repro.bitmap.kernels.auto_count_many``,
+any k >= 1, any codec; pairwise is k = 2).  This module keeps what those
+entries and their tests share:
 
-* :func:`logical_op` -- the **dense path**: expands both operands to their
-  aligned 31-bit groups with ``np.repeat`` (never to per-element booleans),
-  applies the numpy bitwise kernel, and re-compresses with the vectorised
-  run-length encoder.
-
-* :func:`logical_op_streaming` -- the **reference path**: the classic WAH
-  two-cursor run merge operating directly on compressed words, ported from
-  the bitmap-index literature (Wu et al. [41]).  It performs no group
-  expansion at all and is used as the oracle in the test suite and for
-  the ablation benchmarks.
-
-* :func:`op_count_streaming` (and the :func:`and_count_streaming` /
-  :func:`or_count_streaming` / :func:`xor_count_streaming` wrappers) --
-  **compressed-domain count kernels**: a vectorised run-boundary merge
-  that accumulates popcounts directly from the two compressed word
-  streams.  No result vector is built and no group array is
-  materialised; a fill x fill span contributes in O(1) per merged run
-  regardless of how many groups it covers.  This is the §3.2 claim made
-  real: analysis cost scales with the *compressed* size.
-  :func:`logical_op_runmerge` is the materialising sibling, re-encoding
-  the merged segments straight back to WAH words.
-
-:func:`auto_op` and :func:`auto_count` dispatch between the paths by
-operand density: when both vectors compress well (compression ratio at or
-below the calibrated thresholds below) the run-merge kernels win because
-they touch only O(runs) words; on dense, run-free vectors the numpy group
-kernels win because their per-word cost is lower.  The shared rule lives
-in :func:`prefers_runmerge` (also used by the fused k-way dispatchers of
-:mod:`repro.bitmap.kernels`); the thresholds were calibrated with
-``benchmarks/bench_kernel_dispatch.py`` under hardware popcount (see
-DESIGN.md, "Kernel dispatch policy").
-
-Multi-operand folds (OR-ing range-predicate bins, AND-ing per-variable
-masks, level rollups) should not ``reduce`` over these pairwise kernels:
-:mod:`repro.bitmap.kernels` fuses the whole fold into one decode + one
-ufunc sweep (``logical_op_many`` / ``op_count_many`` and their
-``auto_*_many`` dispatchers).
-
-All paths agree bit-for-bit / count-for-count (property-tested), and all
-support the four operations the paper's analyses need: AND (joint
-distributions, §3.2/§4.2), XOR (spatial EMD, §3.2), OR (multi-level index
-construction) and ANDNOT.  NOT is provided for completeness (used by
-incomplete-data analysis in the authors' earlier work).
+* :func:`prefers_runmerge` -- the one place an operand's compression
+  ratio is compared with a threshold; the ladder picks its run-merge
+  path when it holds, its dense path otherwise.
+* :data:`STREAMING_COUNT_RATIO_THRESHOLD` -- the calibrated k = 2
+  crossover (the k >= 3 one is
+  ``repro.bitmap.kernels.KWAY_RUNMERGE_RATIO_THRESHOLD``).
+* :func:`logical_not` -- the one unary op (incomplete-data analysis,
+  range-index complements).
+* :func:`logical_op_streaming` -- the **scalar oracle**: the classic WAH
+  two-cursor run merge on compressed words, ported from the
+  bitmap-index literature (Wu et al. [41]).  It expands nothing and
+  shares no code with the ladder, which is why the parity suite and the
+  ablation benchmarks use its left fold as the reference.
 """
 
 from __future__ import annotations
@@ -53,28 +27,15 @@ from typing import Callable
 
 import numpy as np
 
+from repro.bitmap.codec import to_wah
 from repro.bitmap.wah import (
     FILL_COUNT_MASK,
     FILL_FLAG,
     FILL_VALUE_FLAG,
     WAHBitVector,
     compress_groups,
-    compress_runs,
 )
-from repro.util.bits import (
-    GROUP_BITS,
-    GROUP_FULL,
-    last_group_mask,
-    popcount_total,
-    popcount_u32,
-)
-
-_NUMPY_KERNELS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
-    "and": np.bitwise_and,
-    "or": np.bitwise_or,
-    "xor": np.bitwise_xor,
-    "andnot": lambda a, b: np.bitwise_and(a, np.bitwise_xor(b, GROUP_FULL)),
-}
+from repro.util.bits import GROUP_BITS, GROUP_FULL, last_group_mask
 
 _SCALAR_KERNELS: dict[str, Callable[[int, int], int]] = {
     "and": lambda a, b: a & b,
@@ -83,308 +44,46 @@ _SCALAR_KERNELS: dict[str, Callable[[int, int], int]] = {
     "andnot": lambda a, b: a & (b ^ 0x7FFFFFFF),
 }
 
-
-def _check_operands(a: WAHBitVector, b: WAHBitVector) -> None:
-    if a.n_bits != b.n_bits:
-        raise ValueError(
-            f"operand length mismatch: {a.n_bits} != {b.n_bits} bits"
-        )
-
-
-# --------------------------------------------------------------- fast path
-def logical_op(a: WAHBitVector, b: WAHBitVector, op: str) -> WAHBitVector:
-    """Apply ``op`` in {'and','or','xor','andnot'} to two bitvectors."""
-    _check_operands(a, b)
-    try:
-        kernel = _NUMPY_KERNELS[op]
-    except KeyError:
-        raise ValueError(f"unknown op {op!r}; expected one of {sorted(_NUMPY_KERNELS)}")
-    ga, gb = a.to_groups(), b.to_groups()
-    out = kernel(ga, gb)
-    if a.n_bits and out.size:
-        out[-1] &= last_group_mask(a.n_bits)  # never set padding bits
-    return WAHBitVector(compress_groups(out), a.n_bits)
+#: Compression-ratio (words per group, <= 1.0) threshold at or below which
+#: both operands of a k = 2 combine must sit for the run merge to beat the
+#: dense sweep.  The merge does ~10 vectorised passes over O(runs) words
+#: versus the dense path's ~5 passes over O(groups) words -- and hardware
+#: popcount (``np.bitwise_count``) made the dense side ~4x cheaper,
+#: pulling the crossover down from ~0.42 (pre-hardware, threshold 0.25)
+#: to ~0.06; recalibrated with ``benchmarks/bench_kernel_dispatch.py`` on
+#: 1.24M-bit vectors (see DESIGN.md, "Kernel dispatch policy").
+STREAMING_COUNT_RATIO_THRESHOLD = 0.05
 
 
-def logical_and(a: WAHBitVector, b: WAHBitVector) -> WAHBitVector:
-    """AND -- joint bins in §3.2 (conditional entropy) and §4.2 (mining)."""
-    return logical_op(a, b, "and")
+def prefers_runmerge(vectors, threshold: float) -> bool:
+    """True when *every* operand compresses to at or below ``threshold``
+    words per group -- the route rule of the kernel ladder and of the
+    index-level joint kernels (which pass whole
+    :class:`~repro.bitmap.index.BitmapIndex` objects).
+
+    One rule, one place: the run merge's cost is O(total runs), so a
+    single dense operand (ratio near 1.0) drags the merge to O(groups)
+    work at a higher per-word constant than the group kernels -- *all*
+    operands must compress for the compressed domain to win.  (A plain
+    loop: this runs once per ladder call, and ``all()`` over a generator
+    costs twice as much at k = 2.)
+    """
+    for v in vectors:
+        if v.compression_ratio() > threshold:
+            return False
+    return True
 
 
-def logical_or(a: WAHBitVector, b: WAHBitVector) -> WAHBitVector:
-    """OR -- used to roll low-level bins up into high-level interval bins."""
-    return logical_op(a, b, "or")
-
-
-def logical_xor(a: WAHBitVector, b: WAHBitVector) -> WAHBitVector:
-    """XOR -- per-bin spatial differences for the EMD of §3.2."""
-    return logical_op(a, b, "xor")
-
-
-def logical_andnot(a: WAHBitVector, b: WAHBitVector) -> WAHBitVector:
-    """``a AND NOT b`` without materialising the complement."""
-    return logical_op(a, b, "andnot")
-
-
-def logical_not(a: WAHBitVector) -> WAHBitVector:
-    """Bitwise complement (padding bits stay zero)."""
+def logical_not(a) -> WAHBitVector:
+    """Bitwise complement as WAH, any codec (padding bits stay zero)."""
+    a = to_wah(a)
     g = np.bitwise_xor(a.to_groups(), GROUP_FULL)
     if a.n_bits and g.size:
         g[-1] &= last_group_mask(a.n_bits)
     return WAHBitVector(compress_groups(g), a.n_bits)
 
 
-# ------------------------------------------- count-only kernels (dense path)
-def op_count(a: WAHBitVector, b: WAHBitVector, op: str) -> int:
-    """popcount(op(a, b)) via group expansion, without building the result
-    vector (the decompress-then-popcount path)."""
-    _check_operands(a, b)
-    try:
-        kernel = _NUMPY_KERNELS[op]
-    except KeyError:
-        raise ValueError(f"unknown op {op!r}; expected one of {sorted(_NUMPY_KERNELS)}")
-    out = kernel(a.to_groups(), b.to_groups())
-    if a.n_bits and out.size:
-        out[-1] &= last_group_mask(a.n_bits)
-    return popcount_total(out)
-
-
-def and_count(a: WAHBitVector, b: WAHBitVector) -> int:
-    """popcount(a AND b) without building the result vector.
-
-    This is the hot kernel of conditional-entropy selection: the joint
-    distribution only needs the *count* of each pairwise AND.
-    """
-    return op_count(a, b, "and")
-
-
-def or_count(a: WAHBitVector, b: WAHBitVector) -> int:
-    """popcount(a OR b) without building the result vector."""
-    return op_count(a, b, "or")
-
-
-def xor_count(a: WAHBitVector, b: WAHBitVector) -> int:
-    """popcount(a XOR b) -- the spatial-EMD per-bin difference of §3.2."""
-    return op_count(a, b, "xor")
-
-
-# ----------------------------------------- compressed-domain run-merge core
-def _merged_segments(
-    a: WAHBitVector, b: WAHBitVector
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Merge two compressed streams into aligned segments, never expanding.
-
-    Returns ``(seg, va, vb)`` where segment ``k`` covers ``seg[k]`` groups
-    over which operand ``a`` uniformly holds group value ``va[k]`` and
-    ``b`` holds ``vb[k]`` (or ``None`` for two empty vectors).  Any
-    segment longer than one group is necessarily fill x fill, because
-    literal runs span exactly one group.  Zero-length segments (duplicate
-    boundaries) may appear and are harmless.
-
-    The merge is O(runs_a + runs_b) numpy-vectorised work: run boundaries
-    (memoised per vector by :meth:`WAHBitVector.runs`) are combined in one
-    sort of packed keys (end_offset << 1 | source) -- a plain int64 sort
-    is much cheaper than argsort or per-bound binary search, and the
-    source flag both breaks value ties deterministically (a before b) and
-    lets prefix sums recover each side's covering-run index.
-    """
-    ends_a, vals_a = a.runs()
-    ends_b, vals_b = b.runs()
-    if ends_a.size == 0 or ends_b.size == 0:
-        if ends_a.size != ends_b.size:
-            raise AssertionError("operand word streams encode different lengths")
-        return None
-    if ends_a[-1] != ends_b[-1]:
-        raise AssertionError("operand word streams encode different lengths")
-    packed = np.concatenate((ends_a << 1, (ends_b << 1) | 1))
-    packed.sort(kind="stable")
-    bounds = packed >> 1
-    seg = np.diff(bounds, prepend=0)
-    from_b = (packed & 1).astype(bool)
-    # The run covering groups (bounds[k-1], bounds[k]] is the first run
-    # whose end offset is >= bounds[k], i.e. the count of that side's
-    # boundaries strictly below bounds[k].  Inclusive prefix counts give
-    # it directly: subtract 1 on the side the boundary came from, and on
-    # the a side also when an equal a-boundary precedes (ties sort a
-    # first, so a duplicated bound's b entry must discount it).
-    cb = np.cumsum(from_b)
-    ca = np.arange(1, packed.size + 1) - cb
-    dup_prev = np.empty(packed.size, dtype=bool)
-    dup_prev[0] = False
-    np.equal(bounds[1:], bounds[:-1], out=dup_prev[1:])
-    va = vals_a[ca - (~from_b | dup_prev)]
-    vb = vals_b[cb - from_b]
-    return seg, va, vb
-
-
-# -------------------------------------- count-only kernels (compressed path)
-def op_count_streaming(a: WAHBitVector, b: WAHBitVector, op: str) -> int:
-    """popcount(op(a, b)) computed **directly on the compressed streams**.
-
-    Each merged segment contributes ``popcount(op(va, vb)) *
-    segment_groups`` -- valid because any segment longer than one group is
-    fill x fill, whose result group is uniform (all-zero or all-one).
-    Nothing is ever expanded to the group domain, so a billion-bit fill
-    costs the same as a 31-bit literal.
-
-    Padding bits need no masking: both operands keep their padding zero,
-    and every supported op maps (0, 0) -> 0 (ANDNOT complements only the
-    right operand, which the left's zero padding then masks off).
-    """
-    _check_operands(a, b)
-    try:
-        kernel = _NUMPY_KERNELS[op]
-    except KeyError:
-        raise ValueError(f"unknown op {op!r}; expected one of {sorted(_NUMPY_KERNELS)}")
-    merged = _merged_segments(a, b)
-    if merged is None:
-        return 0
-    seg, va, vb = merged
-    out = kernel(va, vb)
-    # Popcount only the segments that can contribute.
-    nz = np.flatnonzero(out)
-    if nz.size == 0:
-        return 0
-    return int((popcount_u32(out[nz]).astype(np.int64) * seg[nz]).sum())
-
-
-def and_count_streaming(a: WAHBitVector, b: WAHBitVector) -> int:
-    """popcount(a AND b) on the compressed streams -- Figure 5's hot op."""
-    return op_count_streaming(a, b, "and")
-
-
-def or_count_streaming(a: WAHBitVector, b: WAHBitVector) -> int:
-    """popcount(a OR b) on the compressed streams."""
-    return op_count_streaming(a, b, "or")
-
-
-def xor_count_streaming(a: WAHBitVector, b: WAHBitVector) -> int:
-    """popcount(a XOR b) on the compressed streams -- Figure 4's hot op."""
-    return op_count_streaming(a, b, "xor")
-
-
-def logical_op_runmerge(a: WAHBitVector, b: WAHBitVector, op: str) -> WAHBitVector:
-    """op(a, b) materialised **without leaving the compressed domain**.
-
-    The vectorised sibling of :func:`logical_op_streaming`: the merged
-    segments' result values are re-encoded straight from run-length form
-    (:func:`~repro.bitmap.wah.compress_runs`), so cost is O(runs), not
-    O(groups).  Multi-group segments are fill x fill and thus always
-    produce a fillable (all-zero / all-one) value, which is what
-    ``compress_runs`` requires.
-    """
-    _check_operands(a, b)
-    try:
-        kernel = _NUMPY_KERNELS[op]
-    except KeyError:
-        raise ValueError(f"unknown op {op!r}; expected one of {sorted(_NUMPY_KERNELS)}")
-    merged = _merged_segments(a, b)
-    if merged is None:
-        return WAHBitVector(np.empty(0, dtype=np.uint32), a.n_bits)
-    seg, va, vb = merged
-    return WAHBitVector(compress_runs(kernel(va, vb), seg), a.n_bits)
-
-
-# ------------------------------------------------------- density dispatchers
-#: Compression-ratio (words per group, <= 1.0) threshold at or below which
-#: ``op_count_streaming`` beats the decompress-then-popcount path.  The
-#: run-boundary merge does ~10 vectorised passes over O(runs) words versus
-#: the dense path's ~5 passes over O(groups) words -- and hardware popcount
-#: (``np.bitwise_count``) made the dense side ~4x cheaper, pulling the
-#: crossover down from ~0.42 (pre-hardware, threshold 0.25) to ~0.06;
-#: recalibrated with ``benchmarks/bench_kernel_dispatch.py`` on 1.24M-bit
-#: vectors (see DESIGN.md, "Kernel dispatch policy", for the
-#: before/after table).
-STREAMING_COUNT_RATIO_THRESHOLD = 0.05
-
-#: Threshold for the *materialising* run merge
-#: (:func:`logical_op_runmerge`): it additionally pays the run-domain
-#: re-encode while the dense path's re-compression is already cheap.
-#: Pre-hardware-popcount its crossover sat far below the count kernels';
-#: hardware popcount moved the *count* crossover down to meet it, so the
-#: two thresholds now coincide (recalibration table in DESIGN.md).
-STREAMING_OP_RATIO_THRESHOLD = 0.05
-
-
-def prefers_runmerge(vectors, threshold: float) -> bool:
-    """True when *every* operand compresses to at or below ``threshold``
-    words per group -- the shared dispatch rule of ``auto_count`` /
-    ``auto_op`` and the k-way ``auto_*_many`` dispatchers
-    (:mod:`repro.bitmap.kernels`).
-
-    One rule, one place: the run-merge kernels' cost is O(total runs),
-    so a single dense operand (ratio near 1.0) drags the merge to
-    O(groups) work at a higher per-word constant than the group kernels
-    -- *all* operands must compress for the compressed domain to win.
-    """
-    return all(v.compression_ratio() <= threshold for v in vectors)
-
-
-def prefers_streaming(
-    a: WAHBitVector, b: WAHBitVector, threshold: float | None = None
-) -> bool:
-    """True when *both* operands compress well enough for the run-merge
-    count kernels to win (ratio at or below ``threshold``)."""
-    t = STREAMING_COUNT_RATIO_THRESHOLD if threshold is None else threshold
-    return prefers_runmerge((a, b), t)
-
-
-def _coerce_wah_pair(a, b) -> tuple[WAHBitVector, WAHBitVector]:
-    """Convert a possibly-mixed-codec operand pair to the WAH word domain.
-
-    The merge-boundary convention of the codec layer
-    (:mod:`repro.bitmap.codec`): the pairwise dispatchers accept any
-    registered codec and converge on WAH, so results are byte-identical
-    regardless of how the operands were stored.  WAH pairs pass through
-    untouched (no import, no copy).
-    """
-    if type(a) is WAHBitVector and type(b) is WAHBitVector:
-        return a, b
-    from repro.bitmap.codec import to_wah
-
-    return to_wah(a), to_wah(b)
-
-
-def auto_count(
-    a, b, op: str = "and", *,
-    threshold: float | None = None,
-) -> int:
-    """popcount(op(a, b)) routed by operand density (any codec).
-
-    The default hot path of the analysis layers: highly compressible
-    operand pairs take :func:`op_count_streaming`; dense pairs take the
-    vectorised group kernel.  Both routes return identical counts
-    (property-tested), so the dispatch is purely a performance decision.
-    Non-WAH operands are converted at this merge boundary.
-    """
-    a, b = _coerce_wah_pair(a, b)
-    t = STREAMING_COUNT_RATIO_THRESHOLD if threshold is None else threshold
-    if prefers_runmerge((a, b), t):
-        return op_count_streaming(a, b, op)
-    return op_count(a, b, op)
-
-
-def auto_op(
-    a, b, op: str, *,
-    threshold: float | None = None,
-) -> WAHBitVector:
-    """op(a, b) routed by operand density (any codec; materialises a WAH
-    result).
-
-    Compressible pairs take the vectorised run merge
-    (:func:`logical_op_runmerge`); dense pairs take the group-expansion
-    path.  Results are bit-identical either way (property-tested), and
-    non-WAH operands convert at this merge boundary so the result words
-    never depend on the storage codec.
-    """
-    a, b = _coerce_wah_pair(a, b)
-    t = STREAMING_OP_RATIO_THRESHOLD if threshold is None else threshold
-    if prefers_runmerge((a, b), t):
-        return logical_op_runmerge(a, b, op)
-    return logical_op(a, b, op)
-
-
-# ---------------------------------------------------------- streaming path
+# ------------------------------------------------------------ scalar oracle
 class _RunCursor:
     """Iterates a WAH word stream as (n_groups, is_fill, value) runs.
 
@@ -467,7 +166,8 @@ class _WordAppender:
 
 def logical_op_streaming(a: WAHBitVector, b: WAHBitVector, op: str) -> WAHBitVector:
     """Two-cursor run merge on compressed words (reference implementation)."""
-    _check_operands(a, b)
+    if a.n_bits != b.n_bits:
+        raise ValueError(f"operand length mismatch: {a.n_bits} != {b.n_bits} bits")
     try:
         scalar = _SCALAR_KERNELS[op]
     except KeyError:

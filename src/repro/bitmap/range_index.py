@@ -27,7 +27,8 @@ import numpy as np
 
 from repro.bitmap.binning import Binning
 from repro.bitmap.index import BitmapIndex
-from repro.bitmap.ops import logical_andnot, logical_not
+from repro.bitmap.kernels import auto_op_many, logical_accumulate
+from repro.bitmap.ops import logical_not
 from repro.bitmap.wah import WAHBitVector
 
 
@@ -74,8 +75,6 @@ class RangeBitmapIndex:
         old one-OR-at-a-time loop, without its k - 1 intermediate
         decode/encode round trips.
         """
-        from repro.bitmap.kernels import logical_accumulate
-
         vectors = (
             logical_accumulate(index.bitvectors, "or")
             if index.bitvectors
@@ -105,7 +104,7 @@ class RangeBitmapIndex:
         upper = self.leq_bin(hi_bin)
         if lo_bin == 0:
             return upper
-        return logical_andnot(upper, self.cumulative[lo_bin - 1])
+        return auto_op_many([upper, self.cumulative[lo_bin - 1]], "andnot")
 
     def equality_bin(self, bin_id: int) -> WAHBitVector:
         """Recover an equality-encoded bin: ``cum[i] ANDNOT cum[i-1]``."""

@@ -244,9 +244,9 @@ class WAHBitVector:
         ``values[i]`` is the literal payload for literal runs and 0 /
         ``GROUP_FULL`` for fills; ``ends[i]`` is the group offset one past
         run ``i``.  One entry per compressed word, so the decode is
-        O(words); the result is cached because the compressed-domain count
-        kernels (:mod:`repro.bitmap.ops`) reuse each operand across many
-        pairwise merges.  Callers must treat both arrays as read-only.
+        O(words); the result is cached because the run-merge path of the
+        kernel ladder (:mod:`repro.bitmap.kernels`) reuses each operand
+        across many merges.  Callers must treat both arrays as read-only.
         """
         cached = self.__dict__.get("_runs")
         if cached is None:

@@ -21,11 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bitmap.index import BitmapIndex
-from repro.bitmap.ops import (
-    STREAMING_COUNT_RATIO_THRESHOLD,
-    and_count_streaming,
-    xor_count_streaming,
-)
+from repro.bitmap.kernels import auto_count_many
+from repro.bitmap.ops import STREAMING_COUNT_RATIO_THRESHOLD, prefers_runmerge
 from repro.metrics.emd import emd_from_counts, emd_from_diffs
 from repro.metrics.entropy import (
     conditional_entropy_from_joint,
@@ -77,7 +74,7 @@ def _joint_counts_dense(index_a: BitmapIndex, index_b: BitmapIndex) -> np.ndarra
 
 
 def _joint_counts_streaming(index_a: BitmapIndex, index_b: BitmapIndex) -> np.ndarray:
-    """Compressed route: m x n run-merge count kernels, no decompression."""
+    """Compressed route: m x n pairwise ladder counts, no group matrix."""
     out = np.zeros((index_a.n_bins, index_b.n_bins), dtype=np.int64)
     counts_a = index_a.bin_counts()
     counts_b = index_b.bin_counts()
@@ -87,24 +84,23 @@ def _joint_counts_streaming(index_a: BitmapIndex, index_b: BitmapIndex) -> np.nd
             continue
         va = index_a.bitvectors[i]
         for j in nonempty_j:
-            out[i, j] = and_count_streaming(va, index_b.bitvectors[j])
+            out[i, j] = auto_count_many((va, index_b.bitvectors[j]), "and")
     return out
 
 
-def joint_counts(
-    index_a: BitmapIndex, index_b: BitmapIndex, *, threshold: float | None = None
-) -> np.ndarray:
+def joint_counts(index_a: BitmapIndex, index_b: BitmapIndex) -> np.ndarray:
     """Joint histogram ``J[i, j] = popcount(A_i AND B_j)`` -- Figure 5.
 
     The bitmap replacement for scanning both arrays to build the joint
     value distribution, dispatched by density: when both indices compress
-    well the ``m x n`` ANDs run entirely in the compressed domain
-    (run-merge count kernels); otherwise each is a vectorised row op over
-    the memoised group matrices.  Both routes return identical counts.
+    well (:func:`~repro.bitmap.ops.prefers_runmerge` at the k = 2
+    threshold) the ``m x n`` ANDs are ladder counts
+    (``repro.bitmap.kernels.auto_count_many``) that never build a group
+    matrix; otherwise each is a vectorised row op over the memoised group
+    matrices.  Both routes return identical counts, for any codec.
     """
     _check_aligned(index_a, index_b)
-    t = STREAMING_COUNT_RATIO_THRESHOLD if threshold is None else threshold
-    if index_a.compression_ratio() <= t and index_b.compression_ratio() <= t:
+    if prefers_runmerge((index_a, index_b), STREAMING_COUNT_RATIO_THRESHOLD):
         return _joint_counts_streaming(index_a, index_b)
     return _joint_counts_dense(index_a, index_b)
 
@@ -139,25 +135,24 @@ def emd_count_bitmap(index_a: BitmapIndex, index_b: BitmapIndex) -> float:
 
 
 def spatial_bin_differences_bitmap(
-    index_a: BitmapIndex, index_b: BitmapIndex, *, threshold: float | None = None
+    index_a: BitmapIndex, index_b: BitmapIndex
 ) -> np.ndarray:
     """Per-bin ``popcount(A_j XOR B_j)`` -- Figure 4's m XOR operations.
 
     Density-dispatched like :func:`joint_counts`: compressible index pairs
-    run the m XORs as run-merge count kernels; dense pairs XOR the
-    memoised group matrices row-wise.
+    run the m XORs as ladder counts; dense pairs XOR the memoised group
+    matrices row-wise.
     """
     _check_aligned(index_a, index_b)
     if index_a.n_bins != index_b.n_bins:
         raise ValueError(
             f"EMD needs a shared binning scale: {index_a.n_bins} != {index_b.n_bins} bins"
         )
-    t = STREAMING_COUNT_RATIO_THRESHOLD if threshold is None else threshold
-    if index_a.compression_ratio() <= t and index_b.compression_ratio() <= t:
+    if prefers_runmerge((index_a, index_b), STREAMING_COUNT_RATIO_THRESHOLD):
         return np.asarray(
             [
-                xor_count_streaming(va, vb)
-                for va, vb in zip(index_a.bitvectors, index_b.bitvectors)
+                auto_count_many(pair, "xor")
+                for pair in zip(index_a.bitvectors, index_b.bitvectors)
             ],
             dtype=np.int64,
         )

@@ -98,16 +98,17 @@ def correlation_mining(
     value_threshold: float,
     spatial_threshold: float,
     unit_bits: int,
-    threshold: float | None = None,
 ) -> MiningResult:
     """Algorithm 2: mine correlated value and spatial subsets via bitmaps.
 
     The m x n joint step is density-dispatched once per call: when both
-    indices compress below ``threshold`` (default
-    :data:`~repro.bitmap.ops.STREAMING_COUNT_RATIO_THRESHOLD`) every pair's
-    joint count runs in the compressed domain and only *surviving* pairs
-    materialise their joint bitvector (run-merge); otherwise each bin is
-    decompressed once into the memoised group matrix and ANDs are row ops.
+    indices compress below
+    :data:`~repro.bitmap.ops.STREAMING_COUNT_RATIO_THRESHOLD`
+    (:func:`~repro.bitmap.ops.prefers_runmerge`) every pair's joint count
+    is a ladder count and only *surviving* pairs materialise their joint
+    bitvector (``repro.bitmap.kernels.auto_op_many``); otherwise each bin
+    is decompressed once into the memoised group matrix and ANDs are row
+    ops.
     """
     if index_a.n_elements != index_b.n_elements:
         raise ValueError(
@@ -119,19 +120,13 @@ def correlation_mining(
     sizes = unit_sizes(n, unit_bits)
     result = MiningResult()
 
-    from repro.bitmap.ops import (
-        STREAMING_COUNT_RATIO_THRESHOLD,
-        and_count_streaming,
-        logical_op_runmerge,
-    )
+    from repro.bitmap.kernels import auto_count_many, auto_op_many
+    from repro.bitmap.ops import STREAMING_COUNT_RATIO_THRESHOLD, prefers_runmerge
     from repro.bitmap.units import unit_popcounts_groups
     from repro.bitmap.wah import compress_groups
     from repro.util.bits import popcount_total
 
-    t = STREAMING_COUNT_RATIO_THRESHOLD if threshold is None else threshold
-    streaming = (
-        index_a.compression_ratio() <= t and index_b.compression_ratio() <= t
-    )
+    streaming = prefers_runmerge((index_a, index_b), STREAMING_COUNT_RATIO_THRESHOLD)
     group_aligned = unit_bits % 31 == 0
     if not streaming:
         # Decompress each bin's groups once; pairwise ANDs become row ops
@@ -153,10 +148,9 @@ def correlation_mining(
             result.n_pairs_evaluated += 1
             if counts_b[j] == 0:
                 continue
+            pair = (index_a.bitvectors[i], index_b.bitvectors[j])
             if streaming:  # line 3 (AND in the compressed domain)
-                jc = and_count_streaming(
-                    index_a.bitvectors[i], index_b.bitvectors[j]
-                )
+                jc = auto_count_many(pair, "and")
             else:  # line 3 (AND on decompressed 31-bit groups)
                 joint_groups = ga[i] & gb[j]
                 jc = int(popcount_total(joint_groups))
@@ -168,10 +162,7 @@ def correlation_mining(
             # lines 6-11: per-spatial-unit MI over the joint bitvector,
             # materialised only for survivors on the streaming route.
             if streaming:
-                joint = logical_op_runmerge(
-                    index_a.bitvectors[i], index_b.bitvectors[j], "and"
-                )
-                joint_u = unit_popcounts(joint, unit_bits)
+                joint_u = unit_popcounts(auto_op_many(pair, "and"), unit_bits)
             elif group_aligned:
                 joint_u = unit_popcounts_groups(joint_groups, n, unit_bits)
             else:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.bitmap.index import MultiLevelBitmapIndex
-from repro.bitmap.ops import auto_count, auto_op
+from repro.bitmap.kernels import auto_count_many, auto_op_many
 from repro.bitmap.units import n_units, unit_popcounts, unit_sizes
 from repro.metrics.entropy import mi_term_from_cell
 from repro.mining.correlation import (
@@ -94,9 +94,9 @@ def correlation_mining_multilevel(
         for hj in range(high_b.n_bins):
             stats.high_pairs_evaluated += 1
             # Density-dispatched count: high-level bins are usually dense
-            # (unions of children), low-level ones sparse -- auto_count
-            # picks the compressed-domain kernel only when both compress.
-            jc = auto_count(high_a.bitvectors[hi], high_b.bitvectors[hj], "and")
+            # (unions of children), low-level ones sparse -- the ladder
+            # picks the run merge only when both compress.
+            jc = auto_count_many((high_a.bitvectors[hi], high_b.bitvectors[hj]), "and")
             parent_mi = mi_term_from_cell(
                 jc, int(counts_high_a[hi]), int(counts_high_b[hj]), n
             )
@@ -116,15 +116,15 @@ def correlation_mining_multilevel(
                     result.n_pairs_evaluated += 1
                     if counts_low_b[j] == 0:
                         continue
-                    va, vb = low_a.bitvectors[i], low_b.bitvectors[j]
-                    cnt = auto_count(va, vb, "and")
+                    pair = (low_a.bitvectors[i], low_b.bitvectors[j])
+                    cnt = auto_count_many(pair, "and")
                     value_mi = mi_term_from_cell(
                         cnt, int(counts_low_a[i]), int(counts_low_b[j]), n
                     )
                     if value_mi < value_threshold:
                         continue
                     # Only survivors materialise their joint bitvector.
-                    joint = auto_op(va, vb, "and")
+                    joint = auto_op_many(pair, "and")
                     result.n_pairs_survived += 1
                     result.value_hits.append(ValueSubsetHit(i, j, cnt, value_mi))
                     if i not in a_units_cache:

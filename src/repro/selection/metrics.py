@@ -17,7 +17,7 @@ The bitmap paths inherit density dispatch from
 :mod:`repro.metrics.bitmap_metrics`: when both indices compress below
 :data:`~repro.bitmap.ops.STREAMING_COUNT_RATIO_THRESHOLD`, the joint-AND
 (conditional entropy) and per-bin-XOR (spatial EMD) popcounts run
-entirely in the compressed domain via the ``*_count_streaming`` kernels;
+as pairwise ladder counts (``repro.bitmap.kernels.auto_count_many``);
 dense indices keep the memoised group-matrix row ops.  Either route
 returns bit-identical counts, so the full/bitmap equality contract is
 unaffected by dispatch.

@@ -764,8 +764,6 @@ class QueryService:
             return 0.0
         if not masks:
             return float(plan.n_elements)
-        if len(masks) == 1:
-            return float(masks[0].count())
         return float(auto_count_many(masks, "and"))
 
     def _mask_vector(
@@ -789,7 +787,7 @@ class QueryService:
             return WAHBitVector.zeros(plan.n_elements)
         if not masks:
             return WAHBitVector.ones(plan.n_elements)
-        mask = auto_op_many(masks, "and") if len(masks) > 1 else masks[0]
+        mask = auto_op_many(masks, "and")
         if plan.ordering is not None:
             mask = plan.ordering.unpermute_mask(mask)
         return mask

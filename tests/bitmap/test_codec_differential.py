@@ -28,13 +28,22 @@ from repro.bitmap import (
     convert,
     index_from_bytes,
     index_to_bytes,
-    logical_op_any,
-    op_count_any,
     select_codec,
     splice_bitvectors,
     to_wah,
 )
 from repro.bitmap.codec import as_wah_all
+from repro.bitmap.kernels import auto_count_many, auto_op_many
+from repro.bitmap.ops import logical_op_streaming
+from repro.bitmap.range_index import RangeBitmapIndex
+from repro.metrics.bitmap_metrics import (
+    conditional_entropy_bitmap,
+    emd_spatial_bitmap,
+    joint_counts,
+    mutual_information_bitmap,
+    spatial_bin_differences_bitmap,
+)
+from repro.mining import correlation_mining
 
 CODEC_NAMES = ("wah", "roaring", "wah64")
 OPS = ("and", "or", "xor", "andnot")
@@ -109,6 +118,19 @@ class TestEncodeDecode:
             assert np.array_equal(round_tripped.words, ref.words), label
 
 
+def _combine(a, b, op):
+    """Same-codec Roaring / WAH64 pairs use the codec's native operator;
+    every other pairing goes through the kernel ladder."""
+    if type(a) is type(b) and not isinstance(a, WAHBitVector):
+        return {
+            "and": lambda: a & b,
+            "or": lambda: a | b,
+            "xor": lambda: a ^ b,
+            "andnot": lambda: a.andnot(b),
+        }[op]()
+    return auto_op_many((a, b), op)
+
+
 class TestLogicalOps:
     """op(a, b) is value-identical for every codec pairing and op."""
 
@@ -130,17 +152,17 @@ class TestLogicalOps:
                 va, vb = ca.encode_bools(bits_a), cb.encode_bools(bits_b)
                 for op in OPS:
                     oracle = _bool_op(bits_a, bits_b, op)
-                    result = logical_op_any(va, vb, op)
+                    result = _combine(va, vb, op)
                     label = f"{pa} {op} {pb} @{n_bits} [{name_a}x{name_b}]"
                     assert np.array_equal(
                         result.to_bools(), oracle
                     ), label
-                    assert op_count_any(va, vb, op) == int(
+                    assert auto_count_many((va, vb), op) == int(
                         oracle.sum()
                     ), label
                     # The WAH rendering of the result is byte-identical
                     # to the all-WAH computation.
-                    ref = logical_op_any(
+                    ref = logical_op_streaming(
                         WAHBitVector.from_bools(bits_a),
                         WAHBitVector.from_bools(bits_b),
                         op,
@@ -153,7 +175,7 @@ class TestLogicalOps:
         bits = _patterns(200, rng)
         roaring = CODECS["roaring"].encode_bools(bits["sparse"])
         wah64 = CODECS["wah64"].encode_bools(bits["dense"])
-        assert isinstance(logical_op_any(roaring, wah64, "and"), WAHBitVector)
+        assert isinstance(auto_op_many((roaring, wah64), "and"), WAHBitVector)
 
     @pytest.mark.parametrize("codec_name", CODEC_NAMES)
     def test_same_codec_pairs_stay_native(self, codec_name, rng):
@@ -161,15 +183,15 @@ class TestLogicalOps:
         bits = _patterns(200, rng)
         a = codec.encode_bools(bits["mid"])
         b = codec.encode_bools(bits["runs"])
-        assert isinstance(logical_op_any(a, b, "or"), codec.vector_cls)
+        assert isinstance(_combine(a, b, "or"), codec.vector_cls)
 
     def test_length_mismatch_rejected(self):
         a = CODECS["roaring"].zeros(100)
         b = CODECS["wah64"].zeros(101)
         with pytest.raises(ValueError, match="length mismatch"):
-            logical_op_any(a, b, "and")
+            auto_op_many((a, b), "and")
         with pytest.raises(ValueError, match="length mismatch"):
-            op_count_any(a, b, "and")
+            auto_count_many((a, b), "and")
 
 
 def _bool_op(a: np.ndarray, b: np.ndarray, op: str) -> np.ndarray:
@@ -308,6 +330,68 @@ class TestKernelBoundaries:
         vectors = [WAHBitVector.from_bools(rng.random(100) < 0.5)]
         assert as_wah_all(vectors)[0] is vectors[0]
 
+
+
+def _mining_summary(result):
+    return (
+        result.value_hits,
+        result.spatial_hits,
+        result.n_pairs_evaluated,
+        result.n_pairs_survived,
+        result.n_units_evaluated,
+    )
+
+
+#: Each public analysis on an index pair, reduced to comparable values.
+_ANALYSES = {
+    "joint_counts": lambda a, b: joint_counts(a, b).tolist(),
+    "mutual_information": mutual_information_bitmap,
+    "conditional_entropy": conditional_entropy_bitmap,
+    "spatial_bin_differences": lambda a, b: spatial_bin_differences_bitmap(
+        a, b
+    ).tolist(),
+    "emd_spatial": emd_spatial_bitmap,
+    "correlation_mining": lambda a, b: _mining_summary(
+        correlation_mining(
+            a, b, value_threshold=1e-4, spatial_threshold=0.05, unit_bits=31 * 64
+        )
+    ),
+    "range_from_equality": lambda a, b: [
+        v.words.tolist()
+        for v in RangeBitmapIndex.from_equality_index(a).cumulative
+    ],
+}
+
+
+class TestMixedCodecAnalyses:
+    """Analyses on a ``codec="auto"`` index (WAH bins plus a Roaring bin,
+    compressed enough for the run-merge routes) equal the all-WAH ones."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        rng = np.random.default_rng(1)
+        n = 1 << 18
+        binning = EqualWidthBinning(0, 64, 64)
+        built = {}
+        for var in ("a", "b"):
+            data = np.sort(rng.uniform(0, 60, n))
+            data[rng.choice(n, 240, replace=False)] = 63.5
+            built[var] = {
+                codec: BitmapIndex.build(data, binning, codec=codec)
+                for codec in ("wah", "auto")
+            }
+        return built
+
+    def test_auto_index_mixes_codecs(self, pairs):
+        auto = pairs["a"]["auto"]
+        assert {codec_of(v).name for v in auto.bitvectors} == {"wah", "roaring"}
+        assert auto.compression_ratio() < 0.01
+
+    @pytest.mark.parametrize("analysis", sorted(_ANALYSES))
+    def test_matches_all_wah(self, analysis, pairs):
+        run = _ANALYSES[analysis]
+        expected = run(pairs["a"]["wah"], pairs["b"]["wah"])
+        assert run(pairs["a"]["auto"], pairs["b"]["auto"]) == expected
 
 class TestRegistry:
     def test_names_tags_types_bijective(self):

@@ -21,14 +21,15 @@ from repro.bitmap import (
     WAHBitVector,
     index_from_bytes,
     index_to_bytes,
-    logical_op_any,
-    op_count_any,
     save_index,
     select_codec,
     splice_bitvectors,
     to_wah,
 )
+from repro.bitmap.kernels import auto_count_many
+from repro.bitmap.ops import logical_op_streaming
 from repro.bitmap.serialization import LazyBitmapIndex, serialized_size
+from tests.bitmap.test_codec_differential import _combine
 
 CODEC_NAMES = ("wah", "roaring", "wah64")
 OPS = ("and", "or", "xor", "andnot")
@@ -88,11 +89,11 @@ class TestOpOracle:
         va = CODECS[name_a].from_indices(idx_a, n_bits)
         vb = CODECS[name_b].from_indices(idx_b, n_bits)
         assert va.count() == idx_a.size
-        assert op_count_any(va, vb, op) == int(oracle.sum())
+        assert auto_count_many((va, vb), op) == int(oracle.sum())
 
-        result = logical_op_any(va, vb, op)
+        result = _combine(va, vb, op)
         assert np.array_equal(result.to_bools(), oracle)
-        wah_ref = logical_op_any(
+        wah_ref = logical_op_streaming(
             WAHBitVector.from_bools(bits_a), WAHBitVector.from_bools(bits_b), op
         )
         assert np.array_equal(to_wah(result).words, wah_ref.words)

@@ -86,7 +86,10 @@ class TestMultiLevelIndex:
         ml = MultiLevelBitmapIndex.build(gaussian_data, binning, [LevelSpec(3)])
         from functools import reduce
 
-        from repro.bitmap.ops import logical_or
+        from repro.bitmap.ops import logical_op_streaming
+
+        def logical_or(a, b):
+            return logical_op_streaming(a, b, "or")
 
         for hb in range(ml.levels[1].n_bins):
             members = [ml.low.bitvectors[c] for c in ml.children(1, hb)]

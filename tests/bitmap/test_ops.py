@@ -1,21 +1,14 @@
-"""Tests for compressed bitwise operations (repro.bitmap.ops)."""
+"""Pairwise (k = 2) combines through the kernel ladder, NOT, and the
+scalar oracle (repro.bitmap.ops / repro.bitmap.kernels)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bitmap.ops import (
-    and_count,
-    logical_and,
-    logical_andnot,
-    logical_not,
-    logical_op,
-    logical_op_streaming,
-    logical_or,
-    logical_xor,
-    xor_count,
-)
+from repro.bitmap.codec import convert
+from repro.bitmap.kernels import auto_count_many, auto_op_many
+from repro.bitmap.ops import logical_not, logical_op_streaming
 from repro.bitmap.wah import WAHBitVector
 
 OPS = ["and", "or", "xor", "andnot"]
@@ -25,6 +18,22 @@ NUMPY_OPS = {
     "xor": lambda a, b: a ^ b,
     "andnot": lambda a, b: a & ~b,
 }
+
+
+def logical_and(a, b):
+    return auto_op_many((a, b), "and")
+
+
+def logical_or(a, b):
+    return auto_op_many((a, b), "or")
+
+
+def logical_xor(a, b):
+    return auto_op_many((a, b), "xor")
+
+
+def logical_andnot(a, b):
+    return auto_op_many((a, b), "andnot")
 
 
 def _pair(rng, n, da, db):
@@ -38,16 +47,9 @@ class TestFastOps:
     @pytest.mark.parametrize("n", [0, 1, 31, 32, 100, 2000])
     def test_matches_numpy(self, op, n, rng):
         a, b, va, vb = _pair(rng, n, 0.2, 0.6)
-        out = logical_op(va, vb, op)
+        out = auto_op_many((va, vb), op)
         out.check_invariants()
         assert np.array_equal(out.to_bools(), NUMPY_OPS[op](a, b))
-
-    def test_named_wrappers(self, rng):
-        a, b, va, vb = _pair(rng, 500, 0.3, 0.3)
-        assert np.array_equal(logical_and(va, vb).to_bools(), a & b)
-        assert np.array_equal(logical_or(va, vb).to_bools(), a | b)
-        assert np.array_equal(logical_xor(va, vb).to_bools(), a ^ b)
-        assert np.array_equal(logical_andnot(va, vb).to_bools(), a & ~b)
 
     def test_not(self, rng):
         bits = rng.random(100) < 0.5
@@ -57,6 +59,9 @@ class TestFastOps:
         assert np.array_equal(out.to_bools(), ~bits)
         # padding must stay zero even though NOT flips everything
         assert out.count() == 100 - int(bits.sum())
+        # Any codec: converted to WAH at entry.
+        for codec in ("roaring", "wah64"):
+            assert logical_not(convert(v, codec)) == out
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length mismatch"):
@@ -65,7 +70,7 @@ class TestFastOps:
     def test_unknown_op_rejected(self, rng):
         v = WAHBitVector.zeros(10)
         with pytest.raises(ValueError, match="unknown op"):
-            logical_op(v, v, "nand")
+            auto_op_many((v, v), "nand")
 
     def test_fill_heavy_operands(self):
         # Long 0-fills and 1-fills exercise the repeat/merge machinery.
@@ -80,17 +85,17 @@ class TestCountKernels:
     @pytest.mark.parametrize("n", [1, 31, 500, 4097])
     def test_and_count(self, n, rng):
         a, b, va, vb = _pair(rng, n, 0.4, 0.4)
-        assert and_count(va, vb) == int((a & b).sum())
+        assert auto_count_many((va, vb), "and") == int((a & b).sum())
 
     @pytest.mark.parametrize("n", [1, 31, 500, 4097])
     def test_xor_count(self, n, rng):
         a, b, va, vb = _pair(rng, n, 0.4, 0.4)
-        assert xor_count(va, vb) == int((a ^ b).sum())
+        assert auto_count_many((va, vb), "xor") == int((a ^ b).sum())
 
     def test_counts_match_materialised(self, rng):
         _, _, va, vb = _pair(rng, 911, 0.1, 0.9)
-        assert and_count(va, vb) == logical_and(va, vb).count()
-        assert xor_count(va, vb) == logical_xor(va, vb).count()
+        assert auto_count_many((va, vb), "and") == logical_and(va, vb).count()
+        assert auto_count_many((va, vb), "xor") == logical_xor(va, vb).count()
 
 
 class TestStreamingOps:
@@ -99,7 +104,7 @@ class TestStreamingOps:
         for n in [0, 31, 62, 100, 1000]:
             for da, db in [(0.01, 0.99), (0.5, 0.5), (0.0, 1.0)]:
                 _, _, va, vb = _pair(rng, n, da, db)
-                assert logical_op_streaming(va, vb, op) == logical_op(va, vb, op)
+                assert logical_op_streaming(va, vb, op) == auto_op_many((va, vb), op)
 
     def test_streaming_fill_merge(self):
         # AND of two disjoint sparse vectors collapses to one 0-fill word.
@@ -132,7 +137,7 @@ class TestStreamingOps:
         a = np.resize(a, n)
         b = np.resize(b, n)
         va, vb = WAHBitVector.from_bools(a), WAHBitVector.from_bools(b)
-        fast = logical_op(va, vb, op)
+        fast = auto_op_many((va, vb), op)
         stream = logical_op_streaming(va, vb, op)
         assert fast == stream
         assert np.array_equal(fast.to_bools(), NUMPY_OPS[op](a, b))

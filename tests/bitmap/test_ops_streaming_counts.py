@@ -1,17 +1,17 @@
-"""Tests for the compressed-domain count kernels and density dispatchers.
+"""The ladder's run-merge path at k = 2 and the k = 2 route rule.
 
-The contract under test (ISSUE: compressed-domain count kernels): for
-every op and every operand shape,
+The contract under test: for every op and every operand pair,
 
-    op_count_streaming(a, b) == logical_op_streaming(a, b, op).count()
-                             == logical_op(a, b, op).count()
+    _count_runmerge([a, b], op) == logical_op_streaming(a, b, op).count()
+                                == _count_dense([a, b], op)
 
-and the dispatchers (`auto_count`, `auto_op`) return identical results on
-both routes, differing only in which kernel does the work.  Adversarial
-shapes include non-multiple-of-31 lengths, giant fills at/spanning
-``MAX_FILL_BITS`` (checked purely in the compressed domain -- nothing
-gigabit-sized is ever expanded), alternating literal/fill words, and
-empty vectors.
+and ``_op_runmerge`` is word-identical to ``_op_dense``; the public
+entries (``auto_count_many`` / ``auto_op_many``) return identical results
+on both routes, differing only in which path does the work.
+Adversarial shapes include non-multiple-of-31 lengths, giant fills
+at/spanning ``MAX_FILL_BITS`` (checked purely in the compressed domain --
+nothing gigabit-sized is ever expanded), alternating literal/fill words,
+and empty vectors.
 """
 
 import numpy as np
@@ -19,21 +19,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.bitmap.ops as ops_module
+import repro.bitmap.kernels as kernels
+from repro.bitmap.kernels import (
+    _count_dense,
+    _count_runmerge,
+    _op_dense,
+    _op_runmerge,
+    auto_count_many,
+    auto_op_many,
+)
 from repro.bitmap.ops import (
     STREAMING_COUNT_RATIO_THRESHOLD,
-    STREAMING_OP_RATIO_THRESHOLD,
-    and_count_streaming,
-    auto_count,
-    auto_op,
-    logical_op,
-    logical_op_runmerge,
     logical_op_streaming,
-    op_count,
-    op_count_streaming,
-    or_count_streaming,
-    prefers_streaming,
-    xor_count_streaming,
+    prefers_runmerge,
 )
 from repro.bitmap.wah import (
     GROUP_BITS,
@@ -43,6 +41,23 @@ from repro.bitmap.wah import (
 )
 
 OPS = ["and", "or", "xor", "andnot"]
+
+
+# k = 2 spellings of the ladder's two private paths.
+def logical_op(a, b, op):
+    return _op_dense([a, b], op)
+
+
+def op_count(a, b, op):
+    return _count_dense([a, b], op)
+
+
+def op_count_streaming(a, b, op):
+    return _count_runmerge([a, b], op)
+
+
+def logical_op_runmerge(a, b, op):
+    return _op_runmerge([a, b], op)
 
 #: Lengths that exercise partial final groups, exact group boundaries,
 #: and the empty vector.
@@ -101,12 +116,6 @@ class TestCountStreamingEquality:
         assert op_count_streaming(va, vb, op) == 0
         assert logical_op_runmerge(va, vb, op).n_bits == 0
 
-    def test_named_wrappers(self, rng):
-        va, vb = _pair(rng, 911, 0.1, 0.9)
-        assert and_count_streaming(va, vb) == op_count(va, vb, "and")
-        assert or_count_streaming(va, vb) == op_count(va, vb, "or")
-        assert xor_count_streaming(va, vb) == op_count(va, vb, "xor")
-
     def test_unknown_op_rejected(self):
         v = WAHBitVector.zeros(31)
         with pytest.raises(ValueError, match="unknown op"):
@@ -162,9 +171,9 @@ class TestGiantFills:
 
     def test_counts_analytic(self):
         a, b, n = self._vectors()
-        assert and_count_streaming(a, b) == MAX_FILL_BITS + 15
-        assert or_count_streaming(a, b) == n
-        assert xor_count_streaming(a, b) == 31 + 16
+        assert op_count_streaming(a, b, "and") == MAX_FILL_BITS + 15
+        assert op_count_streaming(a, b, "or") == n
+        assert op_count_streaming(a, b, "xor") == 31 + 16
 
     @pytest.mark.parametrize("op", OPS)
     def test_against_streaming_oracle(self, op):
@@ -185,7 +194,7 @@ class TestGiantFills:
         out = logical_op_runmerge(a, b, "and")
         out.check_invariants()
         assert out.count() == n
-        assert and_count_streaming(a, b) == n
+        assert op_count_streaming(a, b, "and") == n
 
     def test_misaligned_giant_fills(self):
         # Boundaries that never line up: one giant run against many small
@@ -194,9 +203,9 @@ class TestGiantFills:
         a = WAHBitVector(np.array([make_fill(1, n)], dtype=np.uint32), n)
         chunks = [make_fill(0, 31), make_fill(1, n - 62), make_fill(0, 31)]
         b = WAHBitVector(np.array(chunks, dtype=np.uint32), n)
-        assert and_count_streaming(a, b) == n - 62
-        assert xor_count_streaming(a, b) == 62
-        assert or_count_streaming(a, b) == n
+        assert op_count_streaming(a, b, "and") == n - 62
+        assert op_count_streaming(a, b, "xor") == 62
+        assert op_count_streaming(a, b, "or") == n
 
 
 class TestRunmergeEquality:
@@ -229,57 +238,50 @@ class TestDispatchers:
     def test_prefers_streaming_thresholds(self, rng):
         sparse = WAHBitVector.from_indices(np.asarray([5, 5000]), 31 * 4000)
         dense = WAHBitVector.from_bools(rng.random(31 * 4000) < 0.5)
-        assert sparse.compression_ratio() <= STREAMING_COUNT_RATIO_THRESHOLD
-        assert dense.compression_ratio() > STREAMING_COUNT_RATIO_THRESHOLD
-        assert prefers_streaming(sparse, sparse)
-        assert not prefers_streaming(sparse, dense)  # both must compress
-        assert not prefers_streaming(dense, dense)
-        # Forced thresholds override the calibrated default.
-        assert prefers_streaming(dense, dense, threshold=1.0)
-        assert not prefers_streaming(sparse, sparse, threshold=0.0)
+        t = STREAMING_COUNT_RATIO_THRESHOLD
+        assert sparse.compression_ratio() <= t
+        assert dense.compression_ratio() > t
+        assert prefers_runmerge((sparse, sparse), t)
+        assert not prefers_runmerge((sparse, dense), t)  # both must compress
+        assert not prefers_runmerge((dense, dense), t)
+        assert prefers_runmerge((dense, dense), 1.0)
+        assert not prefers_runmerge((sparse, sparse), 0.0)
 
     @pytest.mark.parametrize("op", OPS)
     def test_auto_count_routes_agree(self, op, rng):
         for n in [100, 311, 31 * 64]:
             va, vb = _pair(rng, n, 0.02, 0.5)
-            forced_stream = auto_count(va, vb, op, threshold=1.0)
-            forced_dense = auto_count(va, vb, op, threshold=0.0)
-            assert forced_stream == forced_dense == op_count(va, vb, op)
+            expected = logical_op_streaming(va, vb, op).count()
+            assert op_count_streaming(va, vb, op) == expected
+            assert op_count(va, vb, op) == expected
+            assert auto_count_many((va, vb), op) == expected
 
     @pytest.mark.parametrize("op", OPS)
     def test_auto_op_routes_agree(self, op, rng):
         for n in [100, 311, 31 * 64]:
             va, vb = _pair(rng, n, 0.02, 0.5)
-            forced_stream = auto_op(va, vb, op, threshold=1.0)
-            forced_dense = auto_op(va, vb, op, threshold=0.0)
-            forced_stream.check_invariants()
-            assert forced_stream == forced_dense == logical_op(va, vb, op)
+            merged = logical_op_runmerge(va, vb, op)
+            merged.check_invariants()
+            assert merged == logical_op(va, vb, op) == auto_op_many((va, vb), op)
 
     def test_auto_count_picks_streaming_kernel(self, monkeypatch):
         calls = []
-        real = ops_module.op_count_streaming
         monkeypatch.setattr(
-            ops_module,
-            "op_count_streaming",
-            lambda a, b, op: calls.append(op) or real(a, b, op),
+            kernels,
+            "_count_runmerge",
+            lambda v, op: calls.append(op) or _count_runmerge(v, op),
         )
         sparse = WAHBitVector.from_indices(np.asarray([7]), 31 * 4000)
-        auto_count(sparse, sparse, "and")
+        auto_count_many((sparse, sparse), "and")
         assert calls == ["and"]
 
     def test_auto_count_picks_dense_kernel(self, monkeypatch, rng):
         calls = []
-        real = ops_module.op_count
         monkeypatch.setattr(
-            ops_module,
-            "op_count",
-            lambda a, b, op: calls.append(op) or real(a, b, op),
+            kernels,
+            "_count_dense",
+            lambda v, op: calls.append(op) or _count_dense(v, op),
         )
         dense = WAHBitVector.from_bools(rng.random(31 * 2000) < 0.5)
-        auto_count(dense, dense, "xor")
+        auto_count_many((dense, dense), "xor")
         assert calls == ["xor"]
-
-    def test_auto_op_default_threshold_is_stricter(self):
-        # The materialising run merge pays a re-encode, so its default
-        # crossover must sit at or below the count kernels'.
-        assert STREAMING_OP_RATIO_THRESHOLD <= STREAMING_COUNT_RATIO_THRESHOLD
