@@ -12,13 +12,20 @@ path ablations call its two private paths directly.  Ablations:
   the ladder's run-merge regime -- and the public entry's routing
   overhead on both regimes;
 * one fused k-way call vs a left fold of k = 2 calls on executor-shaped
-  multi-bin operands -- what fusion buys the range-query hot path.
+  multi-bin operands -- what fusion buys the range-query hot path;
+* the three ways to build a joint histogram (§3.2 / Fig. 5) from two
+  indices: one ``bincount`` over the recovered bin-id columns, row ANDs
+  over the group matrices, and ``m x n`` pairwise ladder counts -- on a
+  well-compressed 821-bin Heat3D step pair and a dense 16-bin ocean pair.
 
 Run as a script (``python bench_kernels.py [--smoke]``) to sweep the
 k-way section over k in {2, 4, 8, 16}, assert the fused kernel's >= 2x
 win at k >= 8 (skipped under ``--smoke``, which only checks parity),
-and write ``results/kernels_kway.txt`` plus the machine-readable
-``results/BENCH_kernels.json``.
+time the joint-histogram routes (every cell asserted equal to the
+full-data ``joint_histogram`` on both sizes; outside ``--smoke`` the
+route ``joint_counts`` picks must also be the fastest), and write
+``results/kernels_kway.txt``, ``results/joint_histogram.txt`` and the
+machine-readable ``results/BENCH_kernels.json``.
 """
 
 import argparse
@@ -32,7 +39,13 @@ import numpy as np
 
 import pytest
 
-from repro.bitmap import BitmapIndex, EqualWidthBinning, WAHBitVector
+from repro.bitmap import (
+    BitmapIndex,
+    EqualWidthBinning,
+    PrecisionBinning,
+    WAHBitVector,
+    ZOrderLayout,
+)
 from repro.bitmap.kernels import (
     KWAY_RUNMERGE_RATIO_THRESHOLD,
     _count_dense,
@@ -41,7 +54,14 @@ from repro.bitmap.kernels import (
     auto_count_many,
     auto_op_many,
 )
-from repro.bitmap.ops import logical_op_streaming
+from repro.bitmap.ops import (
+    STREAMING_COUNT_RATIO_THRESHOLD,
+    logical_op_streaming,
+    prefers_runmerge,
+)
+from repro.metrics.bitmap_metrics import _joint_counts_column, _joint_counts_dense
+from repro.metrics.histogram import joint_histogram
+from repro.sims import Heat3D, HeatSource, OceanDataGenerator
 from repro.util.bits import HAS_HARDWARE_POPCOUNT
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -296,22 +316,129 @@ def run_kway_sweep(smoke: bool = False) -> dict:
         rows,
     )
     save_table("kernels_kway", table)
-    result = {
-        "n_bits": n_bits,
-        "smoke": smoke,
-        "hardware_popcount": HAS_HARDWARE_POPCOUNT,
-        "kway_runmerge_ratio_threshold": KWAY_RUNMERGE_RATIO_THRESHOLD,
-        "kway": record,
-    }
-    json_path = RESULTS_DIR / "BENCH_kernels.json"
-    json_path.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"[saved to {json_path}]")
     if not smoke:
         losers = {r["k"]: r["or_speedup"] for r in record if r["k"] >= 8}
         assert all(s >= 2.0 for s in losers.values()), (
             f"fused k-way OR under 2x vs pairwise fold at k >= 8: {losers}"
         )
-    return result
+    return {
+        "n_bits": n_bits,
+        "kway_runmerge_ratio_threshold": KWAY_RUNMERGE_RATIO_THRESHOLD,
+        "kway": record,
+    }
+
+
+# --------------------------------------------------------------------------
+# Joint histogram: bin-id column vs group matrix vs m x n pairwise counts
+# --------------------------------------------------------------------------
+
+
+def heat3d_pair(shape: tuple[int, int, int], step: int = 4):
+    """Two consecutive Heat3D steps under the 821-bin 0.1-degree binning:
+    the pair ``insitu_select``'s conditional entropy compares."""
+    d, h, w = shape
+    half = max(1, min(shape) // 8)
+    source = HeatSource(
+        (d - 2 * half, h // 2 - half, w // 2 - half),
+        (d - half, h // 2 + half, w // 2 + half),
+        100.0,
+    )
+    sim = Heat3D(shape, seed=11, sources=[source])
+    for _ in range(step):
+        sim.advance()
+    a = sim.advance().fields["temperature"].ravel()
+    b = sim.advance().fields["temperature"].ravel()
+    binning = PrecisionBinning(19, 101, digits=1)
+    return a, b, binning, binning
+
+
+def ocean_pair(shape: tuple[int, int, int]):
+    """Z-ordered temperature / salinity of one ocean snapshot, 16 bins
+    each: the dense-regime pair ``mine_corr`` mines."""
+    snapshot = OceanDataGenerator(shape, seed=11).advance()
+    layout = ZOrderLayout.for_shape(shape)
+    ranges = {"temperature": (-5.0, 35.0), "salinity": (28.0, 40.0)}
+    a, b = (
+        layout.flatten(np.clip(snapshot.fields[v], *ranges[v])) for v in ranges
+    )
+    return a, b, *(EqualWidthBinning(*ranges[v], 16) for v in ranges)
+
+
+def pairwise_joint_counts(index_a: BitmapIndex, index_b: BitmapIndex) -> np.ndarray:
+    """The m x n form: one k = 2 ladder count per nonempty bin pair."""
+    out = np.zeros((index_a.n_bins, index_b.n_bins), dtype=np.int64)
+    nonempty_b = np.flatnonzero(index_b.bin_counts())
+    for i in np.flatnonzero(index_a.bin_counts()):
+        va = index_a.bitvectors[i]
+        for j in nonempty_b:
+            out[i, j] = auto_count_many((va, index_b.bitvectors[j]), "and")
+    return out
+
+
+JOINT_ROUTES = {
+    "bin_id_column": _joint_counts_column,
+    "group_matrix": _joint_counts_dense,
+    "mxn_pairwise": pairwise_joint_counts,
+}
+
+
+def run_joint_table(smoke: bool = False) -> list[dict]:
+    """Time every joint-histogram route on both regimes; each call gets
+    fresh indices (no memoised counts, column or group matrix), as every
+    in-situ step and every served query does."""
+    pairs = {
+        "heat3d": heat3d_pair((8, 16, 32) if smoke else (16, 32, 64)),
+        "ocean": ocean_pair((8, 48, 96) if smoke else (16, 192, 384)),
+    }
+    repeats = 2 if smoke else 7
+    rows: list[list[object]] = []
+    record: list[dict] = []
+    for name, (a, b, bins_a, bins_b) in pairs.items():
+        ia, ib = BitmapIndex.build(a, bins_a), BitmapIndex.build(b, bins_b)
+        expect = joint_histogram(a, b, bins_a, bins_b)
+        ratio = max(ia.compression_ratio(), ib.compression_ratio())
+        timings = {}
+        for route, fn in JOINT_ROUTES.items():
+
+            def call():
+                return fn(
+                    BitmapIndex(bins_a, ia.bitvectors, ia.n_elements),
+                    BitmapIndex(bins_b, ib.bitvectors, ib.n_elements),
+                )
+
+            assert np.array_equal(call(), expect), f"{route} diverged on {name}"
+            timings[route] = _best_seconds(call, repeats) * 1e3
+        best = min(timings, key=timings.get)
+        routed = (
+            "bin_id_column"
+            if prefers_runmerge((ia, ib), STREAMING_COUNT_RATIO_THRESHOLD)
+            else "group_matrix"
+        )
+        if not smoke:
+            assert best == routed, f"{name}: routed to {routed}, {best} is faster"
+        rows.append(
+            [name, f"{ia.n_bins}x{ib.n_bins}", ia.n_elements, ratio,
+             *timings.values(), best]
+        )
+        record.append(
+            {
+                "pair": name,
+                "bins": [ia.n_bins, ib.n_bins],
+                "n_elements": ia.n_elements,
+                "max_compression_ratio": round(ratio, 4),
+                **{f"{route}_ms": round(t, 3) for route, t in timings.items()},
+                "fastest": best,
+            }
+        )
+    table = format_table(
+        "Joint histogram routes, ms per call on fresh indices (route rule: "
+        f"bin-id column iff both ratios <= {STREAMING_COUNT_RATIO_THRESHOLD}"
+        f"{'; SMOKE' if smoke else ''})",
+        ["pair", "bins", "rows", "ratio", *JOINT_ROUTES, "fastest"],
+        rows,
+    )
+    save_table("joint_histogram", table)
+    return record
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -322,7 +449,15 @@ def main(argv: list[str] | None = None) -> int:
         help="small operands, parity checks only (no speedup assertion)",
     )
     args = parser.parse_args(argv)
-    run_kway_sweep(smoke=args.smoke)
+    result = {
+        "smoke": args.smoke,
+        "hardware_popcount": HAS_HARDWARE_POPCOUNT,
+        **run_kway_sweep(smoke=args.smoke),
+        "joint_histogram": run_joint_table(smoke=args.smoke),
+    }
+    json_path = RESULTS_DIR / "BENCH_kernels.json"
+    json_path.write_text(json.dumps(result, indent=2) + "\n")
+    print(f"[saved to {json_path}]")
     return 0
 
 

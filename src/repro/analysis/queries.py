@@ -23,6 +23,7 @@ from repro.bitmap.index import BitmapIndex
 from repro.bitmap.kernels import auto_op_many
 from repro.bitmap.wah import WAHBitVector
 from repro.bitmap.zorder import ZOrderLayout
+from repro.metrics.bitmap_metrics import check_aligned
 from repro.metrics.entropy import mutual_information_from_joint
 from repro.util.bits import popcount_u32, last_group_mask
 
@@ -101,8 +102,13 @@ def spatial_subset_mask(
 def restricted_joint_counts(
     index_a: BitmapIndex, index_b: BitmapIndex, mask: WAHBitVector
 ) -> np.ndarray:
-    """Joint histogram of A x B restricted to ``mask`` -- bitmaps only."""
-    if index_a.n_elements != index_b.n_elements or mask.n_bits != index_a.n_elements:
+    """Joint histogram of A x B restricted to ``mask`` -- bitmaps only.
+
+    ``mask`` lives in the indices' row space, which must be one space
+    (:func:`~repro.metrics.bitmap_metrics.check_aligned`).
+    """
+    check_aligned(index_a, index_b)
+    if mask.n_bits != index_a.n_elements:
         raise ValueError("index/mask element sets differ")
     mg = mask.to_groups()
     if mg.size and index_a.n_elements:

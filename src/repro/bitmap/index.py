@@ -28,9 +28,15 @@ from repro.bitmap.builder import (
     build_bitvectors,
     encode_bitvectors,
 )
+from repro.bitmap.codec import to_wah
 from repro.bitmap.kernels import auto_op_many, stack_groups
-from repro.bitmap.wah import WAHBitVector
-from repro.util.bits import groups_needed
+from repro.bitmap.wah import (
+    FILL_COUNT_MASK,
+    FILL_FLAG,
+    FILL_VALUE_FLAG,
+    WAHBitVector,
+)
+from repro.util.bits import GROUP_BITS, groups_needed
 
 BuildMethod = Literal["vectorized", "online"]
 
@@ -139,8 +145,9 @@ class BitmapIndex:
         matrix, built at most once per index (memoised).
 
         Decompressing each bin once turns the m x n pairwise AND/XOR loops
-        of §3.2/§4.2 into row-wise numpy kernels when the dense path is
-        chosen.  This is a *working-set* expansion (bins x groups words),
+        of §3.2/§4.2 into row-wise numpy kernels for dense indices
+        (well-compressed ones take :meth:`bin_ids` instead).  This is a
+        *working-set* expansion (bins x groups words),
         not a per-element expansion.  Callers must treat the matrix as
         read-only -- it is shared across every analysis touching this
         index.
@@ -151,6 +158,56 @@ class BitmapIndex:
             # no intermediate list-of-rows + vstack copy.
             self._groups = stack_groups(self.bitvectors, self.n_elements)
         return self._groups
+
+    def bin_ids(self) -> np.ndarray:
+        """Every row's bin id: the ``int32`` column this index encodes.
+
+        The bins partition the rows, so the index *is* a run-length-encoded
+        bin-id column; this recovers it in one vectorised decode across all
+        bins.  The WAH words of every bin are concatenated and tagged with
+        their bin; a word's first row comes from the running group total
+        minus its bin's offset (every bin encodes the same number of
+        groups), literals are expanded in one ``np.unpackbits`` pass and
+        1-fills are painted by slice.  Non-WAH bins convert at entry.
+
+        Not memoised: the column costs 4 B per row, far more than the
+        compressed index, and rebuilding it is one cheap pass.  Raises
+        ``ValueError`` when the bins do not partition the rows.
+        """
+        n = self.n_elements
+        ids = np.full(n, -1, dtype=np.int32)
+        if n == 0:
+            return ids
+        per_bin = [to_wah(v).words for v in self.bitvectors]
+        lengths = np.fromiter((w.size for w in per_bin), np.int64, len(per_bin))
+        words = np.concatenate(per_bin)
+        tags = np.repeat(np.arange(self.n_bins, dtype=np.int32), lengths)
+        fill = (words & FILL_FLAG) != 0
+        n_groups = np.where(fill, (words & FILL_COUNT_MASK) // GROUP_BITS, 1)
+        first_group = np.cumsum(n_groups, dtype=np.int64) - n_groups
+        first_row = (first_group - tags * np.int64(groups_needed(n))) * GROUP_BITS
+
+        lit = np.flatnonzero(~fill)
+        raw = words[lit].astype("<u4").view(np.uint8).reshape(-1, 4)
+        word, bit = np.nonzero(np.unpackbits(raw, axis=1, bitorder="little"))
+        ids[first_row[lit][word] + bit] = tags[lit][word]
+        claimed = word.size
+
+        ones = np.flatnonzero(fill & ((words & FILL_VALUE_FLAG) != 0))
+        stops = first_row[ones] + (words[ones] & FILL_COUNT_MASK)
+        for start, stop, tag in zip(
+            first_row[ones].tolist(), stops.tolist(), tags[ones].tolist()
+        ):
+            ids[start:stop] = tag
+            claimed += stop - start
+
+        unclaimed = np.flatnonzero(ids < 0)
+        if unclaimed.size or claimed != n:
+            where = f"row {unclaimed[0]} is in no bin" if unclaimed.size else (
+                f"{claimed - n} rows are in more than one bin"
+            )
+            raise ValueError(f"bins do not partition the rows: {where}")
+        return ids
 
     def compression_ratio(self) -> float:
         """Mean serialised ``uint32`` words per uncompressed 31-bit group

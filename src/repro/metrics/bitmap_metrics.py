@@ -12,6 +12,14 @@ objects whose raw arrays have long been discarded:
   distribution-level formulas of :mod:`repro.metrics.entropy` applied to
   bitmap-derived counts.
 
+The joint kernels take one of two routes, chosen by
+:func:`~repro.bitmap.ops.prefers_runmerge` at the k = 2 count threshold.
+When both indices compress well, each index is decoded once into its
+bin-id column (:meth:`~repro.bitmap.index.BitmapIndex.bin_ids` -- the bins
+partition the rows, so an index *is* a run-length-encoded column) and the
+whole ``m x n`` histogram is one ``np.bincount``.  Otherwise the pairwise
+ANDs/XORs are row ops over the memoised group matrices.
+
 At equal binning every value equals its full-data counterpart exactly
 (property-tested) -- the paper's central "no accuracy loss" claim.
 """
@@ -21,8 +29,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bitmap.index import BitmapIndex
-from repro.bitmap.kernels import auto_count_many
 from repro.bitmap.ops import STREAMING_COUNT_RATIO_THRESHOLD, prefers_runmerge
+from repro.bitmap.ordering import orderings_compatible
 from repro.metrics.emd import emd_from_counts, emd_from_diffs
 from repro.metrics.entropy import (
     conditional_entropy_from_joint,
@@ -32,7 +40,7 @@ from repro.metrics.entropy import (
 from repro.util.bits import popcount_u32
 
 
-def _check_aligned(index_a: BitmapIndex, index_b: BitmapIndex) -> None:
+def _check_same_elements(index_a: BitmapIndex, index_b: BitmapIndex) -> None:
     if index_a.n_elements != index_b.n_elements:
         raise ValueError(
             "indices cover different element sets: "
@@ -40,19 +48,35 @@ def _check_aligned(index_a: BitmapIndex, index_b: BitmapIndex) -> None:
         )
 
 
-def _group_matrix(index: BitmapIndex) -> np.ndarray:
-    """The index's memoised (n_bins, n_groups) decompressed matrix.
+def check_aligned(index_a: BitmapIndex, index_b: BitmapIndex) -> None:
+    """Raise ``ValueError`` unless bit ``i`` of both indices names the same
+    row: equal element counts and compatible row orderings
+    (:func:`~repro.bitmap.ordering.orderings_compatible`).
 
-    Delegates to :meth:`BitmapIndex.group_matrix`, which builds it at most
-    once per index -- the dense-path working set shared by every analysis.
+    Every pairwise analysis that combines bits across two indices (joint
+    histograms, XOR differences, mining) needs this; bin counts alone are
+    ordering-invariant and need only the element check.
     """
-    return index.group_matrix()
+    _check_same_elements(index_a, index_b)
+    a, b = index_a.ordering, index_b.ordering
+    if a is not b and not orderings_compatible(a, b):
+        raise ValueError(
+            "indices are stored under different row orderings; "
+            "bitwise results would not be row-aligned"
+        )
+
+
+def _joint_counts_column(index_a: BitmapIndex, index_b: BitmapIndex) -> np.ndarray:
+    """Bin-id route: ``J[i, j]`` counts the rows whose two ids are ``(i, j)``."""
+    m, n = index_a.n_bins, index_b.n_bins
+    cells = index_a.bin_ids().astype(np.int64) * n + index_b.bin_ids()
+    return np.bincount(cells, minlength=m * n).reshape(m, n)
 
 
 def _joint_counts_dense(index_a: BitmapIndex, index_b: BitmapIndex) -> np.ndarray:
-    """Dense route: row-wise vectorised ANDs over the group matrices."""
-    ga = _group_matrix(index_a)
-    gb = _group_matrix(index_b)
+    """Group-matrix route: row-wise vectorised ANDs over the group matrices."""
+    ga = index_a.group_matrix()
+    gb = index_b.group_matrix()
     out = np.zeros((index_a.n_bins, index_b.n_bins), dtype=np.int64)
     counts_b = index_b.bin_counts()
     nonempty_b = counts_b > 0
@@ -73,35 +97,21 @@ def _joint_counts_dense(index_a: BitmapIndex, index_b: BitmapIndex) -> np.ndarra
     return out
 
 
-def _joint_counts_streaming(index_a: BitmapIndex, index_b: BitmapIndex) -> np.ndarray:
-    """Compressed route: m x n pairwise ladder counts, no group matrix."""
-    out = np.zeros((index_a.n_bins, index_b.n_bins), dtype=np.int64)
-    counts_a = index_a.bin_counts()
-    counts_b = index_b.bin_counts()
-    nonempty_j = np.flatnonzero(counts_b)
-    for i in range(index_a.n_bins):
-        if counts_a[i] == 0:
-            continue
-        va = index_a.bitvectors[i]
-        for j in nonempty_j:
-            out[i, j] = auto_count_many((va, index_b.bitvectors[j]), "and")
-    return out
-
-
 def joint_counts(index_a: BitmapIndex, index_b: BitmapIndex) -> np.ndarray:
     """Joint histogram ``J[i, j] = popcount(A_i AND B_j)`` -- Figure 5.
 
     The bitmap replacement for scanning both arrays to build the joint
     value distribution, dispatched by density: when both indices compress
     well (:func:`~repro.bitmap.ops.prefers_runmerge` at the k = 2
-    threshold) the ``m x n`` ANDs are ladder counts
-    (``repro.bitmap.kernels.auto_count_many``) that never build a group
-    matrix; otherwise each is a vectorised row op over the memoised group
-    matrices.  Both routes return identical counts, for any codec.
+    threshold) it is one ``np.bincount`` over the two recovered bin-id
+    columns (``J[i, j]`` counts the rows whose ids are ``(i, j)``), with no
+    per-pair work at all; otherwise each row of ``J`` is a vectorised AND
+    over the memoised group matrices.  Both routes return identical
+    counts, for any codec.
     """
-    _check_aligned(index_a, index_b)
+    check_aligned(index_a, index_b)
     if prefers_runmerge((index_a, index_b), STREAMING_COUNT_RATIO_THRESHOLD):
-        return _joint_counts_streaming(index_a, index_b)
+        return _joint_counts_column(index_a, index_b)
     return _joint_counts_dense(index_a, index_b)
 
 
@@ -124,9 +134,10 @@ def emd_count_bitmap(index_a: BitmapIndex, index_b: BitmapIndex) -> float:
     """Count-based EMD: per-bin popcount differences, then Equation 3.
 
     Requires both indices to share one binning scale (same bin count), as
-    the paper requires for time-steps under comparison.
+    the paper requires for time-steps under comparison.  Bin counts are
+    ordering-invariant, so the two indices may differ in row ordering.
     """
-    _check_aligned(index_a, index_b)
+    _check_same_elements(index_a, index_b)
     if index_a.n_bins != index_b.n_bins:
         raise ValueError(
             f"EMD needs a shared binning scale: {index_a.n_bins} != {index_b.n_bins} bins"
@@ -139,25 +150,26 @@ def spatial_bin_differences_bitmap(
 ) -> np.ndarray:
     """Per-bin ``popcount(A_j XOR B_j)`` -- Figure 4's m XOR operations.
 
-    Density-dispatched like :func:`joint_counts`: compressible index pairs
-    run the m XORs as ladder counts; dense pairs XOR the memoised group
-    matrices row-wise.
+    Density-dispatched like :func:`joint_counts`.  On the bin-id route a
+    row is in ``A_j XOR B_j`` iff exactly one side puts it in bin ``j``, so
+    the count is ``|A_j| + |B_j| - 2 |A_j AND B_j|`` with the AND counts
+    read off the diagonal (rows whose two ids agree); dense pairs XOR the
+    memoised group matrices row-wise.
     """
-    _check_aligned(index_a, index_b)
+    check_aligned(index_a, index_b)
     if index_a.n_bins != index_b.n_bins:
         raise ValueError(
             f"EMD needs a shared binning scale: {index_a.n_bins} != {index_b.n_bins} bins"
         )
     if prefers_runmerge((index_a, index_b), STREAMING_COUNT_RATIO_THRESHOLD):
-        return np.asarray(
-            [
-                auto_count_many(pair, "xor")
-                for pair in zip(index_a.bitvectors, index_b.bitvectors)
-            ],
-            dtype=np.int64,
-        )
-    ga = _group_matrix(index_a)
-    gb = _group_matrix(index_b)
+        m = index_a.n_bins
+        ids_a, ids_b = index_a.bin_ids(), index_b.bin_ids()
+        diag = np.bincount(ids_a[ids_a == ids_b], minlength=m)
+        counts_a = np.bincount(ids_a, minlength=m)
+        counts_b = np.bincount(ids_b, minlength=m)
+        return counts_a + counts_b - 2 * diag
+    ga = index_a.group_matrix()
+    gb = index_b.group_matrix()
     return popcount_u32(ga ^ gb).sum(axis=1, dtype=np.int64)
 
 

@@ -30,20 +30,24 @@ def shannon_entropy_from_counts(counts: np.ndarray) -> float:
 
 
 def mutual_information_from_joint(joint: np.ndarray) -> float:
-    """Equation 5 from the joint histogram (marginals are its row/col sums)."""
-    joint = np.asarray(joint, dtype=np.float64)
-    total = joint.sum()
+    """Equation 5 from the joint histogram (marginals are its row/col sums).
+
+    Only occupied cells contribute, so the terms are computed over them
+    alone -- a joint of m x n bins is mostly empty cells -- with marginals
+    from the exact row and column sums.
+    """
+    joint = np.asarray(joint)
+    rows = joint.sum(axis=1)
+    cols = joint.sum(axis=0)
+    total = float(rows.sum())
     if total <= 0:
         return 0.0
-    p_ab = joint / total
-    p_a = p_ab.sum(axis=1, keepdims=True)
-    p_b = p_ab.sum(axis=0, keepdims=True)
-    mask = p_ab > 0
-    ratio = np.zeros_like(p_ab)
-    ratio[mask] = p_ab[mask] / (p_a * p_b + 0.0)[mask]
-    out = np.zeros_like(p_ab)
-    out[mask] = p_ab[mask] * np.log2(ratio[mask])
-    return float(out.sum())
+    cells = np.flatnonzero(joint > 0)
+    i, j = np.divmod(cells, joint.shape[1])
+    p_ab = joint.ravel()[cells] / total
+    p_a = rows[i] / total
+    p_b = cols[j] / total
+    return float((p_ab * np.log2(p_ab / (p_a * p_b))).sum())
 
 
 def conditional_entropy_from_joint(joint: np.ndarray) -> float:
@@ -51,7 +55,7 @@ def conditional_entropy_from_joint(joint: np.ndarray) -> float:
 
     Row marginal = A's distribution, so ``H(A)`` comes from ``joint.sum(1)``.
     """
-    joint = np.asarray(joint, dtype=np.float64)
+    joint = np.asarray(joint)
     h_a = shannon_entropy_from_counts(joint.sum(axis=1))
     return h_a - mutual_information_from_joint(joint)
 

@@ -5,7 +5,8 @@ set, find the *value subsets* (bin pairs) and *spatial subsets* (Z-order
 units within a bin pair) with high mutual information:
 
 1. **joint step** -- for every bitvector pair ``(A_i, B_j)`` compute the
-   joint bitvector ``A_i AND B_j`` and its popcount;
+   popcount of ``A_i AND B_j``: the whole joint histogram at once
+   (:func:`~repro.metrics.bitmap_metrics.joint_counts`);
 2. **value pruning** -- evaluate the pairwise MI contribution
    ``I(A_i; B_j)`` (Equation 7 cell term); discard pairs below
    ``value_threshold`` (the paper's THRESHOLD1 / T);
@@ -25,8 +26,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.bitmap.index import BitmapIndex
-from repro.bitmap.units import n_units, unit_popcounts, unit_sizes
-from repro.bitmap.wah import WAHBitVector
+from repro.bitmap.kernels import auto_op_many
+from repro.bitmap.ops import STREAMING_COUNT_RATIO_THRESHOLD, prefers_runmerge
+from repro.bitmap.units import (
+    n_units,
+    unit_popcounts,
+    unit_popcounts_groups,
+    unit_sizes,
+)
+from repro.bitmap.wah import WAHBitVector, compress_groups
+from repro.metrics.bitmap_metrics import check_aligned, joint_counts
 from repro.metrics.entropy import mi_term_from_cell
 
 
@@ -101,36 +110,25 @@ def correlation_mining(
 ) -> MiningResult:
     """Algorithm 2: mine correlated value and spatial subsets via bitmaps.
 
-    The m x n joint step is density-dispatched once per call: when both
-    indices compress below
-    :data:`~repro.bitmap.ops.STREAMING_COUNT_RATIO_THRESHOLD`
-    (:func:`~repro.bitmap.ops.prefers_runmerge`) every pair's joint count
-    is a ladder count and only *surviving* pairs materialise their joint
-    bitvector (``repro.bitmap.kernels.auto_op_many``); otherwise each bin
-    is decompressed once into the memoised group matrix and ANDs are row
-    ops.
+    The m x n joint step is one :func:`~repro.metrics.bitmap_metrics.joint_counts`
+    matrix (a ``bincount`` over two bin-id columns when both indices
+    compress below :data:`~repro.bitmap.ops.STREAMING_COUNT_RATIO_THRESHOLD`,
+    row ops over the memoised group matrices otherwise).  Only pairs that
+    survive value pruning build their joint bitvector for the spatial
+    step: a compressed-domain AND
+    (``repro.bitmap.kernels.auto_op_many``) on the first route, a row AND
+    of the group matrices on the second.
     """
-    if index_a.n_elements != index_b.n_elements:
-        raise ValueError(
-            "indices cover different element sets: "
-            f"{index_a.n_elements} != {index_b.n_elements}"
-        )
+    check_aligned(index_a, index_b)
     n = index_a.n_elements
     total_units = n_units(n, unit_bits)
     sizes = unit_sizes(n, unit_bits)
     result = MiningResult()
 
-    from repro.bitmap.kernels import auto_count_many, auto_op_many
-    from repro.bitmap.ops import STREAMING_COUNT_RATIO_THRESHOLD, prefers_runmerge
-    from repro.bitmap.units import unit_popcounts_groups
-    from repro.bitmap.wah import compress_groups
-    from repro.util.bits import popcount_total
-
-    streaming = prefers_runmerge((index_a, index_b), STREAMING_COUNT_RATIO_THRESHOLD)
+    compressed = prefers_runmerge((index_a, index_b), STREAMING_COUNT_RATIO_THRESHOLD)
     group_aligned = unit_bits % 31 == 0
-    if not streaming:
-        # Decompress each bin's groups once; pairwise ANDs become row ops
-        # -- the word-level work the paper counts as "m x n bitwise ANDs".
+    joint = joint_counts(index_a, index_b)  # Alg. 2 line 3, every pair at once
+    if not compressed:  # the group matrices joint_counts just used
         ga = index_a.group_matrix()
         gb = index_b.group_matrix()
 
@@ -148,26 +146,25 @@ def correlation_mining(
             result.n_pairs_evaluated += 1
             if counts_b[j] == 0:
                 continue
-            pair = (index_a.bitvectors[i], index_b.bitvectors[j])
-            if streaming:  # line 3 (AND in the compressed domain)
-                jc = auto_count_many(pair, "and")
-            else:  # line 3 (AND on decompressed 31-bit groups)
-                joint_groups = ga[i] & gb[j]
-                jc = int(popcount_total(joint_groups))
+            jc = int(joint[i, j])
             value_mi = mi_term_from_cell(jc, int(counts_a[i]), int(counts_b[j]), n)
             if value_mi < value_threshold:  # line 5 pruning
                 continue
             result.n_pairs_survived += 1
             result.value_hits.append(ValueSubsetHit(i, j, jc, value_mi))
             # lines 6-11: per-spatial-unit MI over the joint bitvector,
-            # materialised only for survivors on the streaming route.
-            if streaming:
+            # materialised only for survivors.
+            if compressed:
+                pair = (index_a.bitvectors[i], index_b.bitvectors[j])
                 joint_u = unit_popcounts(auto_op_many(pair, "and"), unit_bits)
-            elif group_aligned:
-                joint_u = unit_popcounts_groups(joint_groups, n, unit_bits)
             else:
-                joint = WAHBitVector(compress_groups(joint_groups), n)
-                joint_u = unit_popcounts(joint, unit_bits)
+                joint_groups = ga[i] & gb[j]
+                if group_aligned:
+                    joint_u = unit_popcounts_groups(joint_groups, n, unit_bits)
+                else:
+                    joint_u = unit_popcounts(
+                        WAHBitVector(compress_groups(joint_groups), n), unit_bits
+                    )
             result.n_units_evaluated += total_units
             unit_mi = _unit_mi(joint_u, a_units[i], b_units[j], sizes)
             for unit in np.flatnonzero(unit_mi >= spatial_threshold):

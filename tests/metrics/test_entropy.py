@@ -81,6 +81,24 @@ class TestMutualInformation:
     def test_empty_joint(self):
         assert mutual_information_from_joint(np.zeros((3, 3))) == 0.0
 
+    def test_sparse_joint_matches_cell_sum(self, rng):
+        """Mostly-empty joints (empty rows and columns, as 821 x 821
+        Heat3D step pairs give) against the per-cell Equation 7 sum."""
+        joint = np.zeros((60, 45), dtype=np.int64)
+        cells = rng.choice(joint.size, 120, replace=False)
+        joint.flat[cells] = rng.integers(1, 1000, cells.size)
+        joint[7, :] = 0
+        joint[:, 11] = 0
+        total, rows, cols = joint.sum(), joint.sum(axis=1), joint.sum(axis=0)
+        expect = sum(
+            mi_term_from_cell(joint[i, j], rows[i], cols[j], total)
+            for i, j in zip(*np.nonzero(joint))
+        )
+        assert mutual_information_from_joint(joint) == pytest.approx(expect, abs=1e-12)
+        assert mutual_information_from_joint(joint.astype(float)) == pytest.approx(
+            expect, abs=1e-12
+        )
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(2, 8))
     def test_property_nonnegative_and_bounded(self, seed, na, nb):
