@@ -3,13 +3,24 @@
 Every ``bench_figXX_*.py`` regenerates one figure/table of the paper's §5
 and writes its rows to ``benchmarks/results/figXX.txt`` (also echoed to
 stdout when pytest runs with ``-s``).  EXPERIMENTS.md quotes these files.
+``--smoke`` runs pass ``smoke=True`` and write to the untracked
+``benchmarks/results/smoke/`` instead, so a smoke run never overwrites a
+committed full-size artifact.
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+
+def results_dir(smoke: bool = False) -> Path:
+    """Where a run's artifacts go: ``results/``, or ``results/smoke/``."""
+    path = RESULTS_DIR / "smoke" if smoke else RESULTS_DIR
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def format_table(title: str, headers: list[str], rows: list[list[object]]) -> str:
@@ -32,10 +43,18 @@ def format_table(title: str, headers: list[str], rows: list[list[object]]) -> st
     return "\n".join(lines)
 
 
-def save_table(name: str, text: str) -> Path:
-    """Write a rendered table under benchmarks/results/ and echo it."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"{name}.txt"
+def save_table(name: str, text: str, *, smoke: bool = False) -> Path:
+    """Write a rendered table under :func:`results_dir` and echo it."""
+    path = results_dir(smoke) / f"{name}.txt"
     path.write_text(text + "\n")
     print(f"\n{text}\n[saved to {path}]")
+    return path
+
+
+def save_json(name: str, record: dict, *, smoke: bool = False) -> Path:
+    """Write a machine-readable record (``BENCH_*.json``) under
+    :func:`results_dir`."""
+    path = results_dir(smoke) / f"{name}.json"
+    path.write_text(json.dumps(record, indent=2) + "\n")
+    print(f"[saved to {path}]")
     return path

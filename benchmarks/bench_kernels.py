@@ -25,11 +25,11 @@ time the joint-histogram routes (every cell asserted equal to the
 full-data ``joint_histogram`` on both sizes; outside ``--smoke`` the
 route ``joint_counts`` picks must also be the fastest), and write
 ``results/kernels_kway.txt``, ``results/joint_histogram.txt`` and the
-machine-readable ``results/BENCH_kernels.json``.
+machine-readable ``results/BENCH_kernels.json`` (``--smoke`` writes them
+under the untracked ``results/smoke/``).
 """
 
 import argparse
-import json
 import sys
 import time
 from functools import reduce
@@ -65,7 +65,7 @@ from repro.sims import Heat3D, HeatSource, OceanDataGenerator
 from repro.util.bits import HAS_HARDWARE_POPCOUNT
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _tables import RESULTS_DIR, format_table, save_table
+from _tables import format_table, save_json, save_table
 
 N = 31 * 40_000  # 1.24M bits
 
@@ -315,7 +315,7 @@ def run_kway_sweep(smoke: bool = False) -> dict:
         ["k", "ratio", "pairwise_us", "fused_us", "or_speedup", "count_speedup"],
         rows,
     )
-    save_table("kernels_kway", table)
+    save_table("kernels_kway", table, smoke=smoke)
     if not smoke:
         losers = {r["k"]: r["or_speedup"] for r in record if r["k"] >= 8}
         assert all(s >= 2.0 for s in losers.values()), (
@@ -437,7 +437,7 @@ def run_joint_table(smoke: bool = False) -> list[dict]:
         ["pair", "bins", "rows", "ratio", *JOINT_ROUTES, "fastest"],
         rows,
     )
-    save_table("joint_histogram", table)
+    save_table("joint_histogram", table, smoke=smoke)
     return record
 
 
@@ -455,9 +455,7 @@ def main(argv: list[str] | None = None) -> int:
         **run_kway_sweep(smoke=args.smoke),
         "joint_histogram": run_joint_table(smoke=args.smoke),
     }
-    json_path = RESULTS_DIR / "BENCH_kernels.json"
-    json_path.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"[saved to {json_path}]")
+    save_json("BENCH_kernels", result, smoke=args.smoke)
     return 0
 
 

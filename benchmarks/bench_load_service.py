@@ -270,7 +270,7 @@ def run(smoke: bool = False, seed: int = 11) -> None:
             f"errors, {failed} hard failures; "
             f"recovered: {len(post_lats)} post-burst queries OK"
         )
-        save_table("load_service", text)
+        save_table("load_service", text, smoke=smoke)
 
 
 def test_load_service_smoke():

@@ -295,7 +295,7 @@ def run(smoke: bool = False, seed: int = 11) -> None:
             f"\n  wall clock on this {os.cpu_count()}-cpu host:"
             f" {wall_ratio:.2f}x"
         )
-        save_table("load_skewed", text)
+        save_table("load_skewed", text, smoke=smoke)
         if not smoke:
             assert cap_ratio >= 1.5, (
                 f"replication-on capacity throughput only {cap_ratio:.2f}x "

@@ -5,22 +5,25 @@ word-aligned codecs earn their keep -- the effect Lemire, Kaser & Aouiche
 quantify in "Sorting improves word-aligned bitmap indexes" (DKE 2010)
 and refine with frequency-aware relabelling in "Histogram-aware sorting
 for enhanced word-aligned compression in bitmap indexes" (DOLAP 2008).
-This bench sweeps {none, lex, gray, hist} x every registered codec over
-three synthetic workloads (shuffled low-cardinality, zipf-skewed,
-adversarial uniform-random) and records per cell:
+This bench sweeps {none, lex, gray, hist} x every storage codec option
+(``wah``, ``roaring``, ``auto``) over three synthetic workloads
+(shuffled low-cardinality, zipf-skewed, adversarial uniform-random) and
+records per cell:
 
-* compressed index size and its ratio vs the unordered baseline;
-* bin-query latency (``query_bins`` over half the bins);
+* stored bitvector payload bytes under that codec and their ratio vs
+  the unordered baseline under the same codec;
+* bin-query latency (``query_bins`` over half the bins) -- measured once
+  per ordering, since every codec reads back to the same WAH index;
 * oracle parity -- bin counts AND de-permuted mask words must equal the
   unordered baseline exactly, asserted before anything is timed.
 
 ``python bench_ordering.py [--smoke]`` writes ``results/BENCH_ordering.json``
-(CI runs ``--smoke``).  The acceptance bar: at least one ordering achieves
->= 1.5x size reduction on the sort-friendly workload.
+(CI runs ``--smoke``, which writes under ``results/smoke/``).  The
+acceptance bar: at least one ordering achieves >= 1.5x size reduction on
+the sort-friendly workload.
 """
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -28,16 +31,11 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _tables import RESULTS_DIR, format_table, save_table
+from _tables import format_table, save_json, save_table
 
-from repro.bitmap import (
-    CODECS,
-    BitmapIndex,
-    EqualWidthBinning,
-    to_wah,
-)
+from repro.bitmap import CODECS, BitmapIndex, EqualWidthBinning, select_codec
 
-CODEC_NAMES = tuple(CODECS)
+CODEC_NAMES = tuple(CODECS) + ("auto",)
 ORDERINGS = (None, "lex", "gray", "hist")
 
 #: Workloads spanning the ordering design space: ``shuffled`` is the
@@ -79,7 +77,15 @@ def _parity(ordered: BitmapIndex, baseline: BitmapIndex, ids) -> bool:
     mask = ordered.query_bins(ids)
     if ordered.ordering is not None:
         mask = ordered.ordering.unpermute_mask(mask)
-    return to_wah(mask) == to_wah(baseline.query_bins(ids))
+    return mask == baseline.query_bins(ids)
+
+
+def payload_bytes(index: BitmapIndex, codec: str) -> int:
+    """Bitvector payload bytes of ``index`` stored under a codec name."""
+    return 4 * sum(
+        (select_codec(v) if codec == "auto" else CODECS[codec]).payload_n_words(v)
+        for v in index.bitvectors
+    )
 
 
 def run_ordering_matrix(smoke: bool = False) -> dict:
@@ -96,35 +102,34 @@ def run_ordering_matrix(smoke: bool = False) -> dict:
     best_reduction = 0.0
     for workload in WORKLOADS:
         data = make_workload(workload, n, n_bins, rng)
-        for codec in CODEC_NAMES:
-            baseline = BitmapIndex.build(data, binning, codec=codec)
-            base_bytes = baseline.nbytes
-            for method in ORDERINGS:
-                index = (
-                    baseline
-                    if method is None
-                    else BitmapIndex.build(
-                        data, binning, codec=codec, ordering=method
-                    )
-                )
-                parity = _parity(index, baseline, query_ids)
-                assert parity, (workload, codec, method)
-                t_query = _best_seconds(
-                    lambda: index.query_bins(query_ids).count(), repeats
-                )
-                ratio = base_bytes / index.nbytes
+        baseline = BitmapIndex.build(data, binning)
+        base_bytes = {c: payload_bytes(baseline, c) for c in CODEC_NAMES}
+        for method in ORDERINGS:
+            index = (
+                baseline
+                if method is None
+                else BitmapIndex.build(data, binning, ordering=method)
+            )
+            parity = _parity(index, baseline, query_ids)
+            assert parity, (workload, method)
+            t_query = _best_seconds(
+                lambda: index.query_bins(query_ids).count(), repeats
+            )
+            label = method or "none"
+            for codec in CODEC_NAMES:
+                stored = payload_bytes(index, codec)
+                ratio = base_bytes[codec] / stored
                 if method is not None and workload == "shuffled":
                     best_reduction = max(best_reduction, ratio)
-                label = method or "none"
                 rows.append([
-                    workload, codec, label, index.nbytes,
+                    workload, codec, label, stored,
                     round(ratio, 2), round(t_query * 1e6, 1),
                 ])
                 record.append({
                     "workload": workload,
                     "codec": codec,
                     "ordering": label,
-                    "index_bytes": int(index.nbytes),
+                    "payload_bytes": stored,
                     "size_reduction_vs_unordered": round(ratio, 3),
                     "query_half_bins_us": round(t_query * 1e6, 1),
                     "oracle_parity": parity,
@@ -134,7 +139,7 @@ def run_ordering_matrix(smoke: bool = False) -> dict:
         ["workload", "codec", "ordering", "bytes", "reduction", "query_us"],
         rows,
     )
-    save_table("ordering_matrix", table)
+    save_table("ordering_matrix", table, smoke=smoke)
     result = {
         "n_rows": n,
         "n_bins": n_bins,
@@ -145,10 +150,7 @@ def run_ordering_matrix(smoke: bool = False) -> dict:
         "best_shuffled_reduction": round(best_reduction, 3),
         "matrix": record,
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    json_path = RESULTS_DIR / "BENCH_ordering.json"
-    json_path.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"[saved to {json_path}]")
+    save_json("BENCH_ordering", result, smoke=smoke)
     # The acceptance bar from the issue: ordering must be worth its
     # sidecar on the workload it is designed for.
     assert best_reduction >= 1.5, (

@@ -150,7 +150,7 @@ def run(smoke: bool = False) -> None:
             "available CPUs;\nthe identical column (bit-exact written "
             "stores) is the portable result."
         )
-    save_table("parallel_pipeline", text)
+    save_table("parallel_pipeline", text, smoke=smoke)
 
     # Acceptance: every configuration writes a byte-identical store.
     wrong = [name for name, d in digests.items() if d != digests["serial"]]

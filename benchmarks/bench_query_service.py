@@ -171,7 +171,7 @@ def run(smoke: bool = False) -> None:
             f"({cache.hit_rate:.0%} hit rate), "
             f"{cache.bytes_cached / 2**10:.0f}KiB resident"
         )
-        save_table("query_service", text + thr)
+        save_table("query_service", text + thr, smoke=smoke)
 
         # Acceptance: selective queries (where I/O dominates) see a clear
         # warm win; full-metric queries are compute-bound, so the service

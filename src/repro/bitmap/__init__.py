@@ -33,7 +33,6 @@ from repro.bitmap.builder import (
     build_bitvectors_batch,
     build_bitvectors_parallel,
     concatenate_bitvectors,
-    encode_bitvectors,
     splice_bitvectors,
 )
 from repro.bitmap.codec import (
@@ -41,10 +40,7 @@ from repro.bitmap.codec import (
     Codec,
     codec_for_name,
     codec_for_tag,
-    codec_of,
-    convert,
     select_codec,
-    to_wah,
 )
 from repro.bitmap.index import BitmapIndex, LevelSpec, MultiLevelBitmapIndex
 from repro.bitmap.kernels import (
@@ -80,7 +76,6 @@ from repro.bitmap.units import (
     unit_sizes,
 )
 from repro.bitmap.wah import WAHBitVector, compress_groups, decompress_words
-from repro.bitmap.wah64 import WAH64BitVector
 from repro.bitmap.zorder import (
     ZOrderLayout,
     morton_decode_2d,
@@ -115,16 +110,12 @@ __all__ = [
     "build_bitvectors_batch",
     "build_bitvectors_parallel",
     "concatenate_bitvectors",
-    "encode_bitvectors",
     "splice_bitvectors",
     "CODECS",
     "Codec",
     "codec_for_name",
     "codec_for_tag",
-    "codec_of",
-    "convert",
     "select_codec",
-    "to_wah",
     "BitmapIndex",
     "ORDERING_METHODS",
     "RowOrdering",
@@ -151,7 +142,6 @@ __all__ = [
     "save_index",
     "serialized_size",
     "WAHBitVector",
-    "WAH64BitVector",
     "compress_groups",
     "decompress_words",
     "ZOrderLayout",

@@ -154,36 +154,12 @@ def _append_words(dst: list[np.ndarray], new: np.ndarray, carry: list[int]) -> N
     carry[0] = int(new[-1])
 
 
-def encode_bitvectors(vectors: list[WAHBitVector], codec: str) -> list:
-    """Re-encode built WAH bitvectors under a storage codec (post-pass).
-
-    ``codec`` is a registered codec name (``"wah"`` is the identity), or
-    ``"auto"`` for the density-driven per-bin policy
-    (:func:`repro.bitmap.codec.select_codec`).  Algorithm 1 always builds
-    WAH first -- density is only known once a bin is complete -- and this
-    pass converts whole bins afterwards, so builds stay deterministic and
-    the WAH word streams feeding the policy are identical to an untagged
-    build.
-    """
-    if codec == "wah":
-        return vectors
-    from repro.bitmap import codec as codec_mod
-
-    if codec == "auto":
-        return [
-            codec_mod.convert(v, codec_mod.select_codec(v)) for v in vectors
-        ]
-    target = codec_mod.codec_for_name(codec)
-    return [codec_mod.convert(v, target) for v in vectors]
-
-
 def build_bitvectors(
     data: np.ndarray,
     binning: Binning,
     *,
     chunk_elements: int = 1 << 20,
-    codec: str = "wah",
-) -> list:
+) -> list[WAHBitVector]:
     """Vectorised chunked bitmap construction (production fast path).
 
     Equivalent to :class:`OnlineBitmapBuilder` but ~100x faster: per chunk it
@@ -193,12 +169,6 @@ def build_bitvectors(
 
     ``chunk_elements`` is rounded down to a multiple of 31 so chunk
     boundaries coincide with segment boundaries.
-
-    ``codec`` selects the storage codec of the returned vectors: a
-    registered codec name, or ``"auto"`` to pick per bin from bin density
-    (see :func:`encode_bitvectors`).  The default ``"wah"`` is the
-    paper's codec and keeps the word streams bit-identical to prior
-    builds.
     """
     flat = np.asarray(data).ravel()
     n = flat.size
@@ -230,7 +200,7 @@ def build_bitvectors(
             parts = parts + [np.asarray([carries[b][0]], dtype=np.uint32)]
         words = np.concatenate(parts) if parts else np.empty(0, dtype=np.uint32)
         vectors.append(WAHBitVector(words, n))
-    return encode_bitvectors(vectors, codec)
+    return vectors
 
 
 def concatenate_bitvectors(parts: list[WAHBitVector]) -> WAHBitVector:
@@ -259,7 +229,7 @@ def concatenate_bitvectors(parts: list[WAHBitVector]) -> WAHBitVector:
     return WAHBitVector(words, sum(p.n_bits for p in parts))
 
 
-def splice_bitvectors(parts: list) -> WAHBitVector:
+def splice_bitvectors(parts: list[WAHBitVector]) -> WAHBitVector:
     """Concatenate bitvectors split at *arbitrary* bit boundaries.
 
     Generalises :func:`concatenate_bitvectors` to ragged parts whose
@@ -271,17 +241,10 @@ def splice_bitvectors(parts: list) -> WAHBitVector:
     same ``compress_groups`` pass a serial build would use, the result is
     word-identical to building over the concatenated data directly.
 
-    Aligned inputs take the O(words) seam-merge fast path.  Parts stored
-    under any registered codec are accepted -- non-WAH parts convert at
-    this merge boundary, so the spliced WAH words are identical whatever
-    codec each shard chose.
+    Aligned inputs take the O(words) seam-merge fast path.
     """
     if not parts:
         return WAHBitVector(np.empty(0, dtype=np.uint32), 0)
-    if any(not isinstance(p, WAHBitVector) for p in parts):
-        from repro.bitmap.codec import to_wah
-
-        parts = [to_wah(p) for p in parts]
     if all(p.n_bits % GROUP_BITS == 0 for p in parts[:-1]):
         return concatenate_bitvectors(parts)
     total = sum(p.n_bits for p in parts)

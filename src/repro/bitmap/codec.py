@@ -1,99 +1,74 @@
-"""The pluggable codec layer: one interface, three bitmap codecs.
+"""Storage codecs: how a WAH bitvector is laid out in a stored record.
 
-Everything above the codec boundary -- the builder, serialization, the
-query service, the cluster splice -- speaks to compressed bitvectors
-through a :class:`Codec`: ``encode`` / ``decode`` (u32 payload framing)
-and geometry accessors.  Three backends register here:
+The storage codec is a property of the *file*, not of the in-memory
+vector.  Every bitvector the program holds -- in a
+:class:`~repro.bitmap.index.BitmapIndex`, a cache, a replica or a kernel
+operand -- is a :class:`~repro.bitmap.wah.WAHBitVector`, the paper's
+format (§2.1 fixes WAH for its operation speed).  A codec is applied in
+one place on write (:func:`repro.bitmap.serialization.write_index`,
+from the index's codec name) and undone in one place on read
+(:meth:`Codec.decode`, which always returns WAH).  Two codecs register:
 
 ========  ===  =========================================================
-name      tag  backend
+name      tag  payload
 ========  ===  =========================================================
-wah        0   :class:`~repro.bitmap.wah.WAHBitVector` -- the paper's
-               32-bit Word-Aligned Hybrid codec (Wu et al.), run-length
-               over 31-bit groups.  The *reference* codec: all cross-
-               codec differential tests compare against it, and mixed-
-               codec operations converge here.
-roaring    1   :class:`~repro.bitmap.roaring.RoaringBitVector` -- the
-               two-level container codec of Chambi, Lemire et al.,
-               "Better bitmap performance with Roaring bitmaps".  Wins
-               on dense bins (8 KiB bitset chunks) and on very sparse
-               scattered bins (uint16 array chunks).
-wah64      2   :class:`~repro.bitmap.wah64.WAH64BitVector` -- 64-bit WAH
-               (63-bit groups), the CONCISE-adjacent literal-heavy
-               option: mid-density bins that defeat 31-bit run
-               detection need roughly half the words.
+wah        0   the WAH words themselves (the reference codec; untagged
+               records are all-WAH).
+roaring    1   Roaring containers (Chambi, Lemire et al., "Better bitmap
+               performance with Roaring bitmaps"): 2^16-bit chunks as
+               ``uint16`` arrays or 8 KiB bitsets
+               (:class:`~repro.bitmap.roaring.RoaringBitVector`).
 ========  ===  =========================================================
 
 The tag is what the V2.1 record format stores per bitvector (see
 :mod:`repro.bitmap.serialization`); :func:`codec_for_tag` raises a clear
-error on unknown tags so future codecs fail loudly, not silently.
+error on unknown tags -- including tag 2, the retired 64-bit WAH -- so
+records no reader understands fail loudly, not silently.
 
-:func:`select_codec` is the density-driven build-time policy, the codec
-sibling of the kernel ladder's route rule: run-structured bins stay WAH
-(the run merge wins there), dense and very sparse bins go
-Roaring, and incompressible mid-density bins go WAH64.  The policy is a
-pure function of (compression ratio, density), so index builds remain
-deterministic.
-
-Combines and counts are not a codec method: the kernel ladder's two
-entries (``repro.bitmap.kernels.auto_op_many`` /
-``repro.bitmap.kernels.auto_count_many``) accept any mix of codecs and
-convert operands to the WAH word domain (:func:`to_wah`) at that merge
-boundary -- the same convention the service and cluster layers use,
-which is what keeps masks byte-identical across codec choices.  Roaring
-and WAH64 vectors keep their native operators (``&``, ``|``, ``^``,
-``andnot`` and Roaring's ``*_count``) for code that stays in one codec.
+:func:`select_codec` is the per-bin rule behind ``codec="auto"``: the
+codec with the smallest exact payload, ties going to WAH.  A pure
+function of the bin's bits, so two writes of the same index always
+produce the same bytes, and an ``"auto"`` record is never larger than
+the all-WAH one.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Union
-
 import numpy as np
 
-from repro.bitmap.roaring import CHUNK_BITS, _U32_PER_CHUNK, RoaringBitVector
-from repro.bitmap.wah import WAHBitVector
-from repro.bitmap.wah64 import WAH64BitVector, groups_needed64
-from repro.util.bits import groups_needed
-
-#: Any compressed bitvector the codec layer understands.
-BitVectorAny = Union[WAHBitVector, RoaringBitVector, WAH64BitVector]
+from repro.bitmap.roaring import (
+    _ARRAY_MAX,
+    _U32_PER_CHUNK,
+    CHUNK_BITS,
+    RoaringBitVector,
+)
+from repro.bitmap.wah import (
+    FILL_COUNT_MASK,
+    FILL_FLAG,
+    FILL_VALUE_FLAG,
+    WAHBitVector,
+)
+from repro.util.bits import GROUP_BITS, groups_needed
 
 
 class Codec:
-    """Interface every bitmap codec implements.
+    """Interface every storage codec implements.
 
-    A codec is stateless; vectors themselves are the immutable value
-    objects.  Payloads are little-endian ``uint32`` arrays so the record
-    framing of :mod:`repro.bitmap.serialization` is codec-uniform.
+    A codec is stateless.  Payloads are little-endian ``uint32`` arrays
+    so the record framing of :mod:`repro.bitmap.serialization` is
+    codec-uniform.
     """
 
     name: str
     tag: int
-    vector_cls: type
 
-    # ------------------------------------------------------------- encode
-    def encode_bools(self, bits: np.ndarray) -> BitVectorAny:
-        """Compress a boolean array."""
-        return self.vector_cls.from_bools(bits)
-
-    def from_indices(self, indices: np.ndarray, n_bits: int) -> BitVectorAny:
-        """Build a vector with ones at the given positions."""
-        return self.vector_cls.from_indices(indices, n_bits)
-
-    def zeros(self, n_bits: int) -> BitVectorAny:
-        return self.vector_cls.zeros(n_bits)
-
-    def ones(self, n_bits: int) -> BitVectorAny:
-        return self.vector_cls.ones(n_bits)
-
-    # -------------------------------------------------------------- wire
-    def payload_words(self, vec: BitVectorAny) -> np.ndarray:
-        """Serialise ``vec`` to its ``uint32`` payload."""
+    def encode(self, vec: WAHBitVector) -> np.ndarray:
+        """Serialise a WAH vector to this codec's ``uint32`` payload."""
         raise NotImplementedError
 
-    def decode_payload(self, payload: np.ndarray, n_bits: int) -> BitVectorAny:
-        """Rebuild a vector from its ``uint32`` payload."""
+    def decode(self, payload: np.ndarray, n_bits: int) -> WAHBitVector:
+        """Rebuild the WAH vector from a payload, rejecting corrupt ones
+        with ``ValueError``."""
         raise NotImplementedError
 
     def max_payload_words(self, n_bits: int) -> int:
@@ -101,8 +76,9 @@ class Codec:
         guard used when validating record headers before reading."""
         raise NotImplementedError
 
-    def payload_n_words(self, vec: BitVectorAny) -> int:
-        """Exact payload word count without materialising the payload."""
+    def payload_n_words(self, vec: WAHBitVector) -> int:
+        """Exact payload word count of ``vec`` without building the
+        payload."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -110,16 +86,16 @@ class Codec:
 
 
 class WAHCodec(Codec):
-    """The paper's 32-bit WAH codec -- tag 0, the reference codec."""
+    """The paper's 32-bit WAH words -- tag 0, the reference codec."""
 
     name = "wah"
     tag = 0
-    vector_cls = WAHBitVector
 
-    def payload_words(self, vec: WAHBitVector) -> np.ndarray:
+    def encode(self, vec: WAHBitVector) -> np.ndarray:
         return vec.words
 
-    def decode_payload(self, payload: np.ndarray, n_bits: int) -> WAHBitVector:
+    def decode(self, payload: np.ndarray, n_bits: int) -> WAHBitVector:
+        _check_wah_words(payload, n_bits)
         return WAHBitVector(payload, n_bits)
 
     def max_payload_words(self, n_bits: int) -> int:
@@ -130,64 +106,84 @@ class WAHCodec(Codec):
         return vec.n_words
 
 
+#: ``c * _INV31 mod 2**32`` is ``c // 31`` when 31 divides ``c`` (31 is
+#: odd, so it has an inverse mod 2**32) and exceeds ``_MAX_QUOTIENT``
+#: otherwise: one multiply checks divisibility and yields the group count.
+_INV31 = np.uint32(pow(GROUP_BITS, -1, 2**32))
+_MAX_QUOTIENT = np.uint32((2**32 - 1) // GROUP_BITS)
+
+
+def _check_wah_words(words: np.ndarray, n_bits: int) -> None:
+    """One vectorised pass over a stored WAH stream: every fill count is
+    a nonzero multiple of 31, the words encode exactly
+    ``groups_needed(n_bits)`` groups, and the final group's padding bits
+    are clear.  A stream failing any of these would make popcounts and
+    joint histograms disagree with the index's element count.
+
+    Runs on every load, so it keeps to a few numpy calls: ``take`` of the
+    fill positions beats a boolean-mask index on uint32 words, and fills
+    are usually the minority."""
+    fills = words.take((words >= FILL_FLAG).nonzero()[0])
+    groups = words.size
+    if fills.size:
+        # Fill groups minus one: a zero count wraps to 2**32 - 1.
+        groups_less_one = (fills & FILL_COUNT_MASK) * _INV31 - np.uint32(1)
+        if groups_less_one.max() >= _MAX_QUOTIENT:
+            raise ValueError(
+                "corrupt WAH payload: a fill count is zero or not a multiple "
+                "of 31"
+            )
+        groups += int(groups_less_one.sum(dtype=np.int64))
+    if groups != groups_needed(n_bits):
+        raise ValueError(
+            f"corrupt WAH payload: words encode {groups} groups, "
+            f"{n_bits} bits need {groups_needed(n_bits)}"
+        )
+    tail_bits = n_bits % GROUP_BITS
+    if tail_bits and words.size:
+        last = int(words[-1])
+        # Padding is bits tail_bits..30 of a final literal; a 1-fill over
+        # the final group would set them all.
+        pad = last & FILL_VALUE_FLAG if last & FILL_FLAG else last >> tail_bits
+        if pad:
+            raise ValueError("corrupt WAH payload: padding bits set in final group")
+
 
 class RoaringCodec(Codec):
     """Roaring containers (Chambi, Lemire et al.) -- tag 1."""
 
     name = "roaring"
     tag = 1
-    vector_cls = RoaringBitVector
 
-    def payload_words(self, vec: RoaringBitVector) -> np.ndarray:
-        return vec.to_u32_payload()
+    def encode(self, vec: WAHBitVector) -> np.ndarray:
+        return RoaringBitVector.from_indices(
+            vec.to_indices(), vec.n_bits
+        ).to_u32_payload()
 
-    def decode_payload(self, payload: np.ndarray, n_bits: int) -> RoaringBitVector:
-        return RoaringBitVector.from_u32_payload(payload, n_bits)
+    def decode(self, payload: np.ndarray, n_bits: int) -> WAHBitVector:
+        roaring = RoaringBitVector.from_u32_payload(payload, n_bits)
+        return WAHBitVector.from_bools(roaring.to_bools())
 
     def max_payload_words(self, n_bits: int) -> int:
         # Directory entry + the larger container form, per chunk.
         n_chunks = -(-n_bits // CHUNK_BITS)
         return 1 + n_chunks * (2 + _U32_PER_CHUNK)
 
-    def payload_n_words(self, vec: RoaringBitVector) -> int:
-        return vec.n_words
-
-
-
-class WAH64Codec(Codec):
-    """64-bit WAH (63-bit groups) -- tag 2."""
-
-    name = "wah64"
-    tag = 2
-    vector_cls = WAH64BitVector
-
-    def payload_words(self, vec: WAH64BitVector) -> np.ndarray:
-        return vec.to_u32_payload()
-
-    def decode_payload(self, payload: np.ndarray, n_bits: int) -> WAH64BitVector:
-        return WAH64BitVector.from_u32_payload(payload, n_bits)
-
-    def max_payload_words(self, n_bits: int) -> int:
-        # At most one uint64 word (= 2 payload words) per 63-bit group.
-        return 2 * groups_needed64(n_bits)
-
-    def payload_n_words(self, vec: WAH64BitVector) -> int:
-        return 2 * vec.n_words
-
+    def payload_n_words(self, vec: WAHBitVector) -> int:
+        cards = np.bincount(vec.to_indices() >> 16)
+        cards = cards[cards > 0]
+        containers = np.where(cards < _ARRAY_MAX, (cards + 1) // 2, _U32_PER_CHUNK)
+        return 1 + 2 * cards.size + int(containers.sum())
 
 
 #: Registered codecs by name.
-CODECS: dict[str, Codec] = {
-    c.name: c for c in (WAHCodec(), RoaringCodec(), WAH64Codec())
-}
+CODECS: dict[str, Codec] = {c.name: c for c in (WAHCodec(), RoaringCodec())}
 
 #: Registered codecs by on-disk tag.
 CODEC_TAGS: dict[int, Codec] = {c.tag: c for c in CODECS.values()}
 
-#: The reference codec all others must agree with.
+#: The reference codec.
 WAH = CODECS["wah"]
-
-_BY_TYPE: dict[type, Codec] = {c.vector_cls: c for c in CODECS.values()}
 
 
 def codec_for_name(name: str) -> Codec:
@@ -211,71 +207,7 @@ def codec_for_tag(tag: int) -> Codec:
         ) from None
 
 
-def codec_of(vec: BitVectorAny) -> Codec:
-    """The codec a vector belongs to."""
-    try:
-        return _BY_TYPE[type(vec)]
-    except KeyError:
-        raise TypeError(
-            f"{type(vec).__name__} is not a registered bitvector type"
-        ) from None
-
-
-def to_wah(vec: BitVectorAny) -> WAHBitVector:
-    """Convert any codec's vector to the reference WAH form.
-
-    The identity for WAH vectors.  This is the *merge-boundary*
-    conversion: dispatchers, the mask splice, and the wire protocol call
-    it so that every cross-codec combination lands in one common word
-    domain and results stay byte-identical regardless of storage codec.
-    """
-    if isinstance(vec, WAHBitVector):
-        return vec
-    return WAHBitVector.from_bools(vec.to_bools())
-
-
-def convert(vec: BitVectorAny, codec: str | Codec) -> BitVectorAny:
-    """Re-encode a vector under another codec (identity if already there)."""
-    target = codec_for_name(codec) if isinstance(codec, str) else codec
-    if type(vec) is target.vector_cls:
-        return vec
-    return target.encode_bools(vec.to_bools())
-
-
-# --------------------------------------------------------- selection policy
-#: Compression ratio (WAH words per group) at or below which a bin stays
-#: WAH: run-structured data is exactly what the O(runs) streaming kernels
-#: and fill words are built for.
-SELECT_WAH_RATIO = 0.05
-
-#: Density at or above which an incompressible bin goes Roaring: dense
-#: chunks become 8 KiB bitset containers, and chunk-local ops beat WAH's
-#: literal-word walk.
-SELECT_ROARING_DENSE = 1.0 / 32
-
-#: Density at or below which an incompressible bin goes Roaring: sparse
-#: scattered bits pack into uint16 array containers at 2 bytes per set
-#: bit, smaller than any literal-word encoding.
-SELECT_ROARING_SPARSE = 1.0 / 1024
-
-
 def select_codec(vec: WAHBitVector) -> Codec:
-    """Pick the cheapest codec for one bin from its density profile.
-
-    A pure function of the WAH compression ratio and the set-bit density,
-    mirroring the calibrated kernel dispatch rules (DESIGN.md, "Kernel
-    dispatch policy"): runs stay WAH, density extremes go Roaring,
-    mid-density literal soup goes WAH64.  Deterministic, so two builds of
-    the same data always pick the same codecs.
-    """
-    if vec.n_bits == 0 or vec.compression_ratio() <= SELECT_WAH_RATIO:
-        return CODECS["wah"]
-    density = vec.density()
-    if density >= SELECT_ROARING_DENSE or density <= SELECT_ROARING_SPARSE:
-        return CODECS["roaring"]
-    return CODECS["wah64"]
-
-
-def as_wah_all(vectors: Sequence[BitVectorAny]) -> list[WAHBitVector]:
-    """Convert a sequence to WAH (no-op copies for WAH members)."""
-    return [to_wah(v) for v in vectors]
+    """The codec with the smallest exact payload for one bin, ties going
+    to WAH (registration order)."""
+    return min(CODECS.values(), key=lambda c: c.payload_n_words(vec))

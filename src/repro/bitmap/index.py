@@ -23,12 +23,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 import numpy as np
 
 from repro.bitmap.binning import Binning
-from repro.bitmap.builder import (
-    OnlineBitmapBuilder,
-    build_bitvectors,
-    encode_bitvectors,
-)
-from repro.bitmap.codec import to_wah
+from repro.bitmap.builder import OnlineBitmapBuilder, build_bitvectors
+from repro.bitmap.codec import codec_for_name
 from repro.bitmap.kernels import auto_op_many, stack_groups
 from repro.bitmap.wah import (
     FILL_COUNT_MASK,
@@ -45,9 +41,10 @@ BuildMethod = Literal["vectorized", "online"]
 class BitmapIndex:
     """A compressed bitmap index over one variable's data.
 
-    ``bitvectors`` may mix storage codecs (WAH, Roaring, WAH64 -- see
-    :mod:`repro.bitmap.codec`); every query path converts to the WAH word
-    domain at merge boundaries, so results are codec-independent.
+    ``bitvectors`` are WAH.  ``codec`` names the storage codec the index
+    is written under (``"wah"``, ``"roaring"`` or ``"auto"``, see
+    :mod:`repro.bitmap.codec`); only the writer reads it, and a loaded
+    index records its file's codec.
 
     ``ordering`` (optional) records the row permutation applied before
     encoding (:mod:`repro.bitmap.ordering`): bit ``i`` of every
@@ -61,6 +58,7 @@ class BitmapIndex:
     bitvectors: list
     n_elements: int
     ordering: "RowOrdering | None" = None
+    codec: str = field(default="wah", compare=False)
     _counts: np.ndarray | None = field(default=None, repr=False, compare=False)
     _groups: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -79,6 +77,8 @@ class BitmapIndex:
                 f"ordering covers {self.ordering.n_rows} rows, index covers "
                 f"{self.n_elements} elements"
             )
+        if self.codec != "auto":
+            codec_for_name(self.codec)
 
     # ------------------------------------------------------------ building
     @classmethod
@@ -94,10 +94,10 @@ class BitmapIndex:
     ) -> "BitmapIndex":
         """Index ``data`` (any shape, flattened C-order) under ``binning``.
 
-        ``codec`` picks the storage codec per bin: a registered codec
-        name, or ``"auto"`` for the density-driven policy
-        (:func:`repro.bitmap.codec.select_codec`).  The default
-        ``"wah"`` keeps word streams bit-identical to prior builds.
+        ``codec`` is the storage codec the index is written under: a
+        registered codec name, or ``"auto"`` for the smallest payload
+        per bin (:func:`repro.bitmap.codec.select_codec`).  The bins are
+        WAH in memory whatever the codec.
 
         ``ordering`` optionally permutes rows before encoding
         (:mod:`repro.bitmap.ordering`): a method name ("lex", "gray",
@@ -115,17 +115,15 @@ class BitmapIndex:
                 ordering = compute_ordering([flat], binning, ordering)
             flat = ordering.apply(flat)
         if method == "vectorized":
-            vectors = build_bitvectors(
-                flat, binning, chunk_elements=chunk_elements, codec=codec
-            )
+            vectors = build_bitvectors(flat, binning, chunk_elements=chunk_elements)
         elif method == "online":
             builder = OnlineBitmapBuilder(binning)
             for start in range(0, flat.size, chunk_elements):
                 builder.push(flat[start : start + chunk_elements])
-            vectors = encode_bitvectors(builder.finalize(), codec)
+            vectors = builder.finalize()
         else:
             raise ValueError(f"unknown build method {method!r}")
-        return cls(binning, vectors, flat.size, ordering)
+        return cls(binning, vectors, flat.size, ordering, codec)
 
     # ------------------------------------------------------------- queries
     @property
@@ -168,7 +166,7 @@ class BitmapIndex:
         their bin; a word's first row comes from the running group total
         minus its bin's offset (every bin encodes the same number of
         groups), literals are expanded in one ``np.unpackbits`` pass and
-        1-fills are painted by slice.  Non-WAH bins convert at entry.
+        1-fills are painted by slice.
 
         Not memoised: the column costs 4 B per row, far more than the
         compressed index, and rebuilding it is one cheap pass.  Raises
@@ -178,7 +176,7 @@ class BitmapIndex:
         ids = np.full(n, -1, dtype=np.int32)
         if n == 0:
             return ids
-        per_bin = [to_wah(v).words for v in self.bitvectors]
+        per_bin = [v.words for v in self.bitvectors]
         lengths = np.fromiter((w.size for w in per_bin), np.int64, len(per_bin))
         words = np.concatenate(per_bin)
         tags = np.repeat(np.arange(self.n_bins, dtype=np.int32), lengths)
@@ -210,18 +208,13 @@ class BitmapIndex:
         return ids
 
     def compression_ratio(self) -> float:
-        """Mean serialised ``uint32`` words per uncompressed 31-bit group
-        across all bins (lower is better; for all-WAH indices this is the
-        dispatch signal of :func:`~repro.bitmap.ops.prefers_runmerge`)."""
+        """Mean WAH words per uncompressed 31-bit group across all bins
+        (lower is better; the dispatch signal of
+        :func:`~repro.bitmap.ops.prefers_runmerge`)."""
         total_groups = self.n_bins * groups_needed(self.n_elements)
         if total_groups == 0:
             return 1.0
-        if all(isinstance(v, WAHBitVector) for v in self.bitvectors):
-            return sum(v.n_words for v in self.bitvectors) / total_groups
-        from repro.bitmap.codec import codec_of
-
-        total = sum(codec_of(v).payload_n_words(v) for v in self.bitvectors)
-        return total / total_groups
+        return sum(v.n_words for v in self.bitvectors) / total_groups
 
     def distribution(self) -> np.ndarray:
         """Normalised value distribution ``P(bin)``."""
@@ -258,9 +251,7 @@ class BitmapIndex:
     def check_invariants(self) -> None:
         """Every element is in exactly one bin: bitvectors partition the set."""
         for v in self.bitvectors:
-            check = getattr(v, "check_invariants", None)
-            if check is not None:  # Roaring containers validate on decode
-                check()
+            v.check_invariants()
         assert int(self.bin_counts().sum()) == self.n_elements, (
             "bin counts do not partition the element set"
         )

@@ -4,15 +4,15 @@ The paper's analyses need one thing from the codec: popcounts and joint
 bitvectors of AND / OR / XOR (and ANDNOT) over compressed bins -- joint
 distributions and spatial EMD (§3.2), Algorithm 2's m x n ANDs (§4.2),
 range predicates and level rollups (ORs).  Two public entries serve all
-of them, for any operand count and any registered codec:
+of them, for any operand count:
 
 * :func:`auto_op_many` -- ``op(v1, ..., vk)`` materialised as WAH;
 * :func:`auto_count_many` -- ``popcount(op(v1, ..., vk))``, no result.
 
-Pairwise is simply k = 2.  Each entry converts non-WAH operands to WAH
-at this merge boundary (:func:`~repro.bitmap.codec.to_wah`), so results
-never depend on the storage codec, then picks one of two private paths
-with :func:`~repro.bitmap.ops.prefers_runmerge`:
+Pairwise is simply k = 2.  Operands are WAH: the storage codec is a
+property of the file, undone by the reader (:mod:`repro.bitmap.codec`),
+so in-memory bitvectors are always WAH.  Each entry picks one of two
+private paths with :func:`~repro.bitmap.ops.prefers_runmerge`:
 
 * the **dense path** (``_op_dense`` / ``_count_dense``): each operand is
   decoded exactly once into a stacked ``(k, chunk)`` group matrix and
@@ -49,7 +49,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.bitmap.codec import as_wah_all
 from repro.bitmap.ops import STREAMING_COUNT_RATIO_THRESHOLD, prefers_runmerge
 from repro.bitmap.wah import WAHBitVector, compress_groups, compress_runs
 from repro.util.bits import (
@@ -83,15 +82,6 @@ _UFUNCS = {
     "or": np.bitwise_or,
     "xor": np.bitwise_xor,
 }
-
-
-def _as_wah(vectors: Sequence) -> Sequence[WAHBitVector]:
-    """The merge boundary: all-WAH operand lists pass through untouched,
-    any other codec's vectors are re-encoded as WAH."""
-    for v in vectors:
-        if type(v) is not WAHBitVector:
-            return as_wah_all(vectors)
-    return vectors
 
 
 def _check_many(vectors: Sequence[WAHBitVector], op: str) -> None:
@@ -151,11 +141,10 @@ def stack_groups(
     The rows are written straight into one preallocated matrix (no
     intermediate list-of-rows + ``vstack`` copy), and the final column is
     masked to the valid bits of ``n_bits``, so the matrix is a safe
-    shared working set for the analysis layers.  Any codec.
+    shared working set for the analysis layers.
     """
     if not vectors:
         return np.empty((0, 0), dtype=np.uint32)
-    vectors = _as_wah(vectors)
     if n_bits is None:
         n_bits = vectors[0].n_bits
     n_groups = groups_needed(n_bits)
@@ -327,13 +316,11 @@ def logical_accumulate(
     sweep produces every prefix simultaneously, and per-chunk
     recompressions stitch seam-merged via
     :func:`~repro.bitmap.builder.concatenate_bitvectors` -- bit-identical
-    to the pairwise loop (property-tested).  Any codec (converted to WAH
-    at entry).  ``andnot`` is not a ufunc accumulate; the three
-    associative ops are supported.
+    to the pairwise loop (property-tested).  ``andnot`` is not a ufunc
+    accumulate; the three associative ops are supported.
     """
     if op not in _UFUNCS:
         raise ValueError(f"unknown accumulate op {op!r}; expected one of {sorted(_UFUNCS)}")
-    vectors = _as_wah(vectors)
     _check_many(vectors, op)
     from repro.bitmap.builder import concatenate_bitvectors
 
@@ -366,24 +353,21 @@ def _runmerge_wins(vectors: Sequence[WAHBitVector]) -> bool:
     return prefers_runmerge(vectors, t)
 
 
-def auto_op_many(vectors: Sequence, op: str) -> WAHBitVector:
-    """``op(v1, ..., vk)`` for any k >= 1 and any codec, as WAH.
+def auto_op_many(vectors: Sequence[WAHBitVector], op: str) -> WAHBitVector:
+    """``op(v1, ..., vk)`` for any k >= 1, as WAH.
 
-    Non-WAH operands convert at this merge boundary, so the result words
-    never depend on the storage codec; the run merge runs when every
-    operand compresses below the k-aware threshold, the dense sweep
-    otherwise.  Word-identical either way (property-tested).
+    The run merge runs when every operand compresses below the k-aware
+    threshold, the dense sweep otherwise.  Word-identical either way
+    (property-tested).
     """
-    vectors = _as_wah(vectors)
     if _runmerge_wins(vectors):
         return _op_runmerge(vectors, op)
     return _op_dense(vectors, op)
 
 
-def auto_count_many(vectors: Sequence, op: str = "and") -> int:
-    """``popcount(op(v1, ..., vk))`` for any k >= 1 and any codec, routed
-    like :func:`auto_op_many`; no result vector is built."""
-    vectors = _as_wah(vectors)
+def auto_count_many(vectors: Sequence[WAHBitVector], op: str = "and") -> int:
+    """``popcount(op(v1, ..., vk))`` for any k >= 1, routed like
+    :func:`auto_op_many`; no result vector is built."""
     if _runmerge_wins(vectors):
         return _count_runmerge(vectors, op)
     return _count_dense(vectors, op)

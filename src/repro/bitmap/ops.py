@@ -3,7 +3,7 @@
 Every bitwise combine and count over compressed bins goes through the two
 entries of :mod:`repro.bitmap.kernels`
 (``repro.bitmap.kernels.auto_op_many`` / ``repro.bitmap.kernels.auto_count_many``,
-any k >= 1, any codec; pairwise is k = 2).  This module keeps what those
+any k >= 1; pairwise is k = 2).  This module keeps what those
 entries and their tests share:
 
 * :func:`prefers_runmerge` -- the one place an operand's compression
@@ -27,7 +27,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.bitmap.codec import to_wah
 from repro.bitmap.wah import (
     FILL_COUNT_MASK,
     FILL_FLAG,
@@ -74,9 +73,8 @@ def prefers_runmerge(vectors, threshold: float) -> bool:
     return True
 
 
-def logical_not(a) -> WAHBitVector:
-    """Bitwise complement as WAH, any codec (padding bits stay zero)."""
-    a = to_wah(a)
+def logical_not(a: WAHBitVector) -> WAHBitVector:
+    """Bitwise complement (padding bits stay zero)."""
     g = np.bitwise_xor(a.to_groups(), GROUP_FULL)
     if a.n_bits and g.size:
         g[-1] &= last_group_mask(a.n_bits)

@@ -150,10 +150,9 @@ class RowOrdering:
         built from the grid layout, which lives in simulation order)."""
         return WAHBitVector.from_bools(self.apply(mask.to_bools()))
 
-    def unpermute_mask(self, mask) -> WAHBitVector:
+    def unpermute_mask(self, mask: WAHBitVector) -> WAHBitVector:
         """Ordered-space mask -> simulation order (for query results
-        crossing any service/wire boundary).  Accepts any codec's
-        bitvector (anything with ``to_bools``)."""
+        crossing any service/wire boundary)."""
         return WAHBitVector.from_bools(self.restore(mask.to_bools()))
 
     # ---------------------------------------------------------- equality

@@ -27,15 +27,18 @@ Two record versions exist, the second with a tagged minor revision:
   version, so old readers reject tagged files cleanly and old files
   parse unchanged).  A *codec tag table* of ``n_bins`` ``uint8`` tags
   follows the ``<qi n_elements n_bins>`` header, one per bitvector in
-  record order, naming the codec of each record's payload
-  (:mod:`repro.bitmap.codec`: 0 = WAH, 1 = Roaring, 2 = WAH64).  Record
-  framing is unchanged -- ``<qi n_bits payload_words>`` then
+  record order, naming the storage codec of each record's payload
+  (:mod:`repro.bitmap.codec`: 0 = WAH, 1 = Roaring; tag 2, the 64-bit
+  WAH of earlier versions, is retired and reads as an unknown tag).
+  Record framing is unchanged -- ``<qi n_bits payload_words>`` then
   ``payload_words`` little-endian ``uint32`` words -- only the payload
   encoding varies by tag.  Unknown tags and truncated tag tables raise
-  clear errors before any payload byte is read.  Writers emit the
-  tagged layout only when a non-WAH vector is present, so all-WAH
-  indices remain byte-identical to plain V2 (and V1/V2-untagged files
-  load bit-identically as WAH).
+  clear errors before any payload byte is read.  The codec is a
+  property of the file: the writer encodes from the index's codec name
+  and every reader decodes to WAH, so in-memory indices are always WAH.
+  Writers emit the tagged layout only when a non-WAH payload is
+  present, so all-WAH indices remain byte-identical to plain V2 (and
+  V1/V2-untagged files load bit-identically).
 * **V2.1 (row-ordered)** -- flags bit 1 marks an index whose rows were
   permuted before encoding (:mod:`repro.bitmap.ordering`).  A
   *permutation sidecar* follows the codec tag table (or the
@@ -76,10 +79,10 @@ from repro.bitmap.binning import (
 )
 from repro.bitmap.codec import (
     WAH as WAH_CODEC,
-    BitVectorAny,
     Codec,
+    codec_for_name,
     codec_for_tag,
-    codec_of,
+    select_codec,
 )
 from repro.bitmap.index import BitmapIndex
 from repro.bitmap.ordering import (
@@ -135,16 +138,18 @@ _BINNING_TAGS: dict[type, int] = {
 
 
 # ------------------------------------------------------------- bitvectors
-def write_bitvector(fh: BinaryIO, vector: BitVectorAny) -> int:
-    """Append one bitvector record; returns bytes written.
+def write_bitvector(
+    fh: BinaryIO, vector: WAHBitVector, codec: Codec = WAH_CODEC
+) -> int:
+    """Append one bitvector record, its payload encoded by ``codec``;
+    returns bytes written.
 
     The record frame is codec-uniform: ``<qi n_bits payload_words>``
     followed by the payload as little-endian ``uint32`` words.  *Which*
     codec the payload belongs to is not part of the record -- V1/V2
     records are always WAH; the V2.1 tag table carries it otherwise.
     """
-    codec = codec_of(vector)
-    payload = codec.payload_words(vector)
+    payload = codec.encode(vector)
     header = struct.pack("<qi", vector.n_bits, payload.size)
     fh.write(header)
     raw = payload.astype("<u4").tobytes()
@@ -175,8 +180,14 @@ def _check_bitvector_header(
         )
 
 
-def read_bitvector(fh: BinaryIO, codec: Codec = WAH_CODEC) -> BitVectorAny:
-    """Read one bitvector record, decoding its payload with ``codec``."""
+def read_bitvector(fh: BinaryIO, codec: Codec = WAH_CODEC) -> WAHBitVector:
+    """Read one bitvector record, decoding its payload with ``codec``
+    (always to WAH)."""
+    return _read_record(fh, codec)[0]
+
+
+def _read_record(fh: BinaryIO, codec: Codec) -> tuple[WAHBitVector, int]:
+    """:func:`read_bitvector` plus the record's size in bytes."""
     header = _read_exact(fh, 12, "bitvector header")
     n_bits, n_words = struct.unpack("<qi", header)
     _check_bitvector_header(n_bits, n_words, codec)
@@ -192,7 +203,7 @@ def read_bitvector(fh: BinaryIO, codec: Codec = WAH_CODEC) -> BitVectorAny:
     words = np.frombuffer(raw, dtype="<u4")
     if words.dtype != np.uint32:  # big-endian host: byte-swapped copy
         words = words.astype(np.uint32)
-    return codec.decode_payload(words, n_bits)
+    return codec.decode(words, n_bits), 12 + 4 * n_words
 
 
 # ---------------------------------------------------------------- binning
@@ -303,7 +314,18 @@ def _header_size(binning: Binning) -> int:
 
 
 def _index_codecs(index: BitmapIndex) -> list[Codec]:
-    return [codec_of(v) for v in index.bitvectors]
+    """Each bin's storage codec: the index's codec name, per bin for
+    ``"auto"``."""
+    if index.codec == "auto":
+        return [select_codec(v) for v in index.bitvectors]
+    return [codec_for_name(index.codec)] * index.n_bins
+
+
+def _file_codec(codecs: list[Codec]) -> str:
+    """The codec name a loaded index records: the file's one codec, or
+    ``"auto"`` when its tag table is mixed."""
+    names = {c.name for c in codecs} or {"wah"}
+    return names.pop() if len(names) == 1 else "auto"
 
 
 def write_index(
@@ -313,9 +335,12 @@ def write_index(
 
     ``version=2`` (the default) appends the per-bitvector offset table and
     footer enabling random access; ``version=1`` writes the legacy layout.
-    Indices holding any non-WAH bitvector are written in the V2.1
-    codec-tagged layout (flags bit 0 + per-bin tag table); all-WAH
-    indices stay byte-identical to plain V2.  Indices carrying a
+    Each bin's payload is encoded under the index's codec name
+    (``index.codec``; ``"auto"`` picks per bin with
+    :func:`~repro.bitmap.codec.select_codec`).  Records holding any
+    non-WAH payload are written in the V2.1 codec-tagged layout (flags
+    bit 0 + per-bin tag table); all-WAH records stay byte-identical to
+    plain V2.  Indices carrying a
     :class:`~repro.bitmap.ordering.RowOrdering` additionally set flags
     bit 1 and write the permutation sidecar after the tag table.  V1
     cannot carry codec tags or an ordering, so writing either as V1 is
@@ -329,7 +354,7 @@ def write_index(
     if tagged and version != VERSION_V2:
         raise ValueError(
             "V1 records cannot carry codec tags; write version=2 or "
-            "convert the index to WAH"
+            "set the index's codec to 'wah'"
         )
     if ordering is not None and version != VERSION_V2:
         raise ValueError(
@@ -351,9 +376,9 @@ def write_index(
     if ordering is not None:
         pos += write_ordering(fh, ordering)
     offsets = np.empty(index.n_bins + 1, dtype=np.int64)
-    for b, vector in enumerate(index.bitvectors):
+    for b, (vector, codec) in enumerate(zip(index.bitvectors, codecs)):
         offsets[b] = pos
-        pos += write_bitvector(fh, vector)
+        pos += write_bitvector(fh, vector, codec)
     offsets[index.n_bins] = pos
     if version == VERSION_V2:
         fh.write(offsets.astype("<i8").tobytes())
@@ -402,7 +427,11 @@ def _read_offset_table(fh: BinaryIO, n_bins: int, expected: np.ndarray) -> None:
 
 
 def read_index(fh: BinaryIO) -> BitmapIndex:
-    """Inverse of :func:`write_index` (reads V1, V2 and V2.1 records)."""
+    """Inverse of :func:`write_index` (reads V1, V2 and V2.1 records).
+
+    Every bitvector is decoded to WAH; the index records its file's
+    codec (``"auto"`` for a mixed tag table), so load -> save rewrites
+    the same bytes."""
     magic = fh.read(4)
     if magic != MAGIC:
         raise ValueError(f"bad magic {magic!r}; not a repro bitmap index")
@@ -430,13 +459,15 @@ def read_index(fh: BinaryIO) -> BitmapIndex:
     vectors = []
     for b in range(n_bins):
         offsets[b] = pos
-        vector = read_bitvector(fh, codecs[b])
-        pos += 12 + 4 * codecs[b].payload_n_words(vector)
+        vector, size = _read_record(fh, codecs[b])
         vectors.append(vector)
+        pos += size
     offsets[n_bins] = pos
     if version == VERSION_V2:
         _read_offset_table(fh, n_bins, offsets)
-    return BitmapIndex(binning, vectors, n_elements, ordering)
+    return BitmapIndex(
+        binning, vectors, n_elements, ordering, codec=_file_codec(codecs)
+    )
 
 
 def index_to_bytes(index: BitmapIndex, *, version: int = DEFAULT_VERSION) -> bytes:
@@ -500,8 +531,8 @@ class LazyBitmapIndex:
     and V2 records whose footer cannot be trusted (e.g. trailing bytes
     appended to the file), from a one-pass scan of the bitvector
     *headers* that never touches payload bytes.  Individual bitvectors
-    are decoded on demand by :meth:`get`, each with its bin's codec
-    (``codecs[bin_id]``; always WAH for untagged files).
+    are decoded to WAH on demand by :meth:`get`, each with its bin's
+    storage codec (``codecs[bin_id]``; always WAH for untagged files).
 
     ``bytes_read`` / ``reads`` count the record bytes actually decoded,
     which is the accounting the query service's cold/warm assertions and
@@ -639,9 +670,9 @@ class LazyBitmapIndex:
         self._check_bin(bin_id)
         return int(self.offsets[bin_id + 1] - self.offsets[bin_id])
 
-    def get(self, bin_id: int) -> BitVectorAny:
-        """Decode one bin's bitvector (with its codec), reading only its
-        byte range."""
+    def get(self, bin_id: int) -> WAHBitVector:
+        """Decode one bin's bitvector to WAH, reading only its byte
+        range."""
         self._check_bin(bin_id)
         lo, hi = int(self.offsets[bin_id]), int(self.offsets[bin_id + 1])
         raw = self._read_range(lo, hi, f"bitvector record {bin_id}")
@@ -658,7 +689,13 @@ class LazyBitmapIndex:
     def materialize(self) -> BitmapIndex:
         """Load every bin into a regular :class:`BitmapIndex`."""
         vectors = [self.get(b) for b in range(self.n_bins)]
-        return BitmapIndex(self.binning, vectors, self.n_elements, self.ordering)
+        return BitmapIndex(
+            self.binning,
+            vectors,
+            self.n_elements,
+            self.ordering,
+            codec=_file_codec(self.codecs),
+        )
 
     def _check_bin(self, bin_id: int) -> None:
         if not 0 <= bin_id < self.n_bins:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bitmap.codec import to_wah
+from repro.bitmap.wah import WAHBitVector
 from repro.util.bits import GROUP_BITS, last_group_mask, popcount_u32
 
 
@@ -23,10 +23,8 @@ def n_units(n_bits: int, unit_bits: int) -> int:
     return -(-n_bits // unit_bits)
 
 
-def unit_popcounts(vector, unit_bits: int) -> np.ndarray:
-    """Count of set bits within each consecutive ``unit_bits``-bit unit
-    (any codec; converted to WAH at entry)."""
-    vector = to_wah(vector)
+def unit_popcounts(vector: WAHBitVector, unit_bits: int) -> np.ndarray:
+    """Count of set bits within each consecutive ``unit_bits``-bit unit."""
     count = n_units(vector.n_bits, unit_bits)
     if vector.n_bits == 0:
         return np.zeros(0, dtype=np.int64)

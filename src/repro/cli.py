@@ -82,9 +82,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ordering", choices=["lex", "gray", "hist"], default=None,
                    help="reorder rows for compression before encoding; the "
                         "inverse permutation rides with the index record")
-    p.add_argument("--codec", choices=["wah", "roaring", "wah64", "auto"],
+    p.add_argument("--codec", choices=["wah", "roaring", "auto"],
                    default="wah",
-                   help="storage codec per bin (auto = density-driven)")
+                   help="storage codec of the written file (auto = smallest "
+                        "payload per bin); the index is WAH in memory")
 
     p = sub.add_parser(
         "query", help="inspect stored bitmap indices or run SQL against them"
@@ -306,7 +307,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
         flat, binning, codec=args.codec, ordering=args.ordering
     )
     written = save_index(args.output, index)
-    ratio = index.size_ratio(data.dtype.itemsize)
+    ratio = written / data.nbytes if data.nbytes else 0.0
     ordered = f", ordering={args.ordering}" if args.ordering else ""
     print(
         f"indexed {data.size} elements into {binning.n_bins} bins{ordered}; "

@@ -107,7 +107,7 @@ def joint_counts(index_a: BitmapIndex, index_b: BitmapIndex) -> np.ndarray:
     columns (``J[i, j]`` counts the rows whose ids are ``(i, j)``), with no
     per-pair work at all; otherwise each row of ``J`` is a vectorised AND
     over the memoised group matrices.  Both routes return identical
-    counts, for any codec.
+    counts.
     """
     check_aligned(index_a, index_b)
     if prefers_runmerge((index_a, index_b), STREAMING_COUNT_RATIO_THRESHOLD):

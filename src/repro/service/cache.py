@@ -1,10 +1,11 @@
 """Byte-budget LRU cache for individually loaded bitvectors.
 
 Sits directly under every lazy load the query service performs: keys are
-``(file, variable, bin, level)``, values are decoded bitvectors of any
-registered codec (WAH, Roaring, WAH64 -- see :mod:`repro.bitmap.codec`),
-and the budget is expressed in *compressed bytes held* so a server's
-memory footprint is bounded by configuration, not by query history.
+``(file, variable, bin, level)``, values are decoded WAH bitvectors
+(readers decode every storage codec to WAH -- see
+:mod:`repro.bitmap.codec`), and the budget is expressed in *WAH bytes
+held* so a server's memory footprint is bounded by configuration, not by
+query history.
 Hits, misses, and evictions are counted -- the service surfaces them per
 query (``QueryStats``) and
 globally (``repro serve`` prints the totals).
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from repro.bitmap.codec import BitVectorAny
+from repro.bitmap.wah import WAHBitVector
 
 
 class CacheKey(NamedTuple):
@@ -88,7 +89,7 @@ class _InFlightLoad:
 
     def __init__(self) -> None:
         self.event = threading.Event()
-        self.vector: BitVectorAny | None = None
+        self.vector: WAHBitVector | None = None
 
 
 class BitvectorCache:
@@ -108,7 +109,7 @@ class BitvectorCache:
         #: every lookup (hit or miss) -- the hot-set accounting feed.
         self.access = access
         self._lock = threading.Lock()
-        self._entries: OrderedDict[CacheKey, BitVectorAny] = OrderedDict()
+        self._entries: OrderedDict[CacheKey, WAHBitVector] = OrderedDict()
         self._inflight: dict[CacheKey, _InFlightLoad] = {}
         self._bytes = 0
         self._hits = 0
@@ -117,7 +118,7 @@ class BitvectorCache:
         self._coalesced = 0
 
     # ------------------------------------------------------------- access
-    def get(self, key: CacheKey) -> BitVectorAny | None:
+    def get(self, key: CacheKey) -> WAHBitVector | None:
         """Look up one bitvector, refreshing its recency on a hit."""
         if self.access is not None:
             self.access.record(key)
@@ -130,7 +131,7 @@ class BitvectorCache:
             self._hits += 1
             return vector
 
-    def put(self, key: CacheKey, vector: BitVectorAny) -> None:
+    def put(self, key: CacheKey, vector: WAHBitVector) -> None:
         """Insert (or refresh) one bitvector, evicting LRU past budget."""
         cost = vector.nbytes
         with self._lock:
@@ -147,8 +148,8 @@ class BitvectorCache:
                 self._evictions += 1
 
     def get_or_load(
-        self, key: CacheKey, loader: Callable[[], BitVectorAny]
-    ) -> tuple[BitVectorAny, bool]:
+        self, key: CacheKey, loader: Callable[[], WAHBitVector]
+    ) -> tuple[WAHBitVector, bool]:
         """Fetch from cache or ``loader`` -- returns ``(vector, was_hit)``.
 
         Single-flight per key: concurrent misses on the same key elect one

@@ -68,7 +68,6 @@ from repro.analysis.sql import (
     query_joint_counts,
 )
 from repro.bitmap.builder import splice_bitvectors
-from repro.bitmap.codec import BitVectorAny
 from repro.bitmap.index import BitmapIndex, overlapping_bins
 from repro.bitmap.kernels import auto_count_many, auto_op_many
 from repro.bitmap.ordering import RowOrdering, orderings_compatible
@@ -665,13 +664,13 @@ class QueryService:
 
     def _load(
         self, plan: _Plan, stats: QueryStats
-    ) -> dict[str, dict[int, BitVectorAny]]:
-        loaded: dict[str, dict[int, BitVectorAny]] = {}
+    ) -> dict[str, dict[int, WAHBitVector]]:
+        loaded: dict[str, dict[int, WAHBitVector]] = {}
         for var, bins in plan.needed.items():
             entry = plan.entries[var]
             lazy = plan.lazies[var]
             path = str(self.catalog.path_of(entry))
-            vectors: dict[int, BitVectorAny] = {}
+            vectors: dict[int, WAHBitVector] = {}
             for bin_id in bins:
                 bin_id = int(bin_id)
                 key = CacheKey.for_bin(path, var, bin_id)
@@ -699,7 +698,7 @@ class QueryService:
         return loaded
 
     def _execute(
-        self, plan: _Plan, loaded: dict[str, dict[int, BitVectorAny]]
+        self, plan: _Plan, loaded: dict[str, dict[int, WAHBitVector]]
     ) -> float:
         if plan.count_only:
             return self._execute_count(plan, loaded)
@@ -709,7 +708,7 @@ class QueryService:
 
     @staticmethod
     def _indices(
-        plan: _Plan, loaded: dict[str, dict[int, BitVectorAny]]
+        plan: _Plan, loaded: dict[str, dict[int, WAHBitVector]]
     ) -> dict[str, BitmapIndex]:
         """Every FROM variable's full index, assembled from loaded bins."""
         return {
@@ -723,7 +722,7 @@ class QueryService:
         }
 
     def _where_masks(
-        self, plan: _Plan, loaded: dict[str, dict[int, BitVectorAny]]
+        self, plan: _Plan, loaded: dict[str, dict[int, WAHBitVector]]
     ) -> list[WAHBitVector] | None:
         """The WHERE plan in ordered space: one OR over each variable's
         predicate bins, plus the region; the result set is their AND.
@@ -747,7 +746,7 @@ class QueryService:
         return masks
 
     def _execute_count(
-        self, plan: _Plan, loaded: dict[str, dict[int, BitVectorAny]]
+        self, plan: _Plan, loaded: dict[str, dict[int, WAHBitVector]]
     ) -> float:
         """COUNT from the minimal bin set: OR within a predicate, AND across.
 
@@ -767,7 +766,7 @@ class QueryService:
         return float(auto_count_many(masks, "and"))
 
     def _mask_vector(
-        self, plan: _Plan, loaded: dict[str, dict[int, BitVectorAny]]
+        self, plan: _Plan, loaded: dict[str, dict[int, WAHBitVector]]
     ) -> WAHBitVector:
         """The combined WHERE bitvector from the minimal COUNT plan.
 
@@ -793,7 +792,7 @@ class QueryService:
         return mask
 
     def _joint_partial(
-        self, plan: _Plan, loaded: dict[str, dict[int, BitVectorAny]]
+        self, plan: _Plan, loaded: dict[str, dict[int, WAHBitVector]]
     ) -> tuple[np.ndarray, bool]:
         """One slab's restricted joint histogram (+ binning-scale flag)."""
         indices = self._indices(plan, loaded)
@@ -806,7 +805,7 @@ class QueryService:
 
     def fetch_bitvector(
         self, file: str, variable: str, bin_id: int, level: int = 0
-    ) -> BitVectorAny:
+    ) -> WAHBitVector:
         """Load one bitvector by cache identity -- the replication unit.
 
         The owner-side half of a replica push: the manager asks the

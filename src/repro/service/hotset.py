@@ -18,7 +18,7 @@ and testable on its own:
 * :class:`ReplicaStore` + :class:`ReplicaManager` -- the policy loop.
   Periodically the manager gathers every worker's decayed access
   snapshot, ranks keys by frequency, and pushes the top-K hot
-  bitvectors' codec-tagged payload buffers over the existing pipe RPC into
+  bitvectors' WAH word buffers over the existing pipe RPC into
   byte-budgeted replica slots on the non-owner workers.  Keys that cool
   below the promotion floor are demoted (dropped from replica slots);
   a catalog refresh or stale-store rebuild clears every replica, since
@@ -49,7 +49,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
-from repro.bitmap.codec import BitVectorAny
+from repro.bitmap.wah import WAHBitVector
 from repro.service.cache import CacheKey
 
 if TYPE_CHECKING:  # circular at runtime: shard imports executor imports cache
@@ -171,18 +171,18 @@ class ReplicaStore:
             raise ValueError(f"budget must be positive, got {budget_bytes}")
         self.budget_bytes = int(budget_bytes)
         self._lock = threading.Lock()
-        self._entries: dict[CacheKey, BitVectorAny] = {}
+        self._entries: dict[CacheKey, WAHBitVector] = {}
         self._bytes = 0
         self.hits = 0
 
-    def get(self, key: CacheKey) -> BitVectorAny | None:
+    def get(self, key: CacheKey) -> WAHBitVector | None:
         with self._lock:
             vector = self._entries.get(key)
             if vector is not None:
                 self.hits += 1
             return vector
 
-    def install(self, key: CacheKey, vector: BitVectorAny) -> bool:
+    def install(self, key: CacheKey, vector: WAHBitVector) -> bool:
         """Hold ``vector`` under ``key``; ``False`` if it would not fit."""
         cost = vector.nbytes
         with self._lock:
@@ -332,8 +332,7 @@ class ReplicaManager:
        unsharded store has one worker and nothing to spread);
     3. **place** -- for each hot key, hottest first, desire a copy on
        every non-owner shard whose byte budget still fits it; fetch the
-       codec-tagged payload once from the owner, push to holders that
-       miss it,
+       WAH words once from the owner, push to holders that miss it,
        drop holdings that are no longer desired (demote-on-cooldown);
     4. **publish** -- routes ``rank -> [owner] + holders``, stamped with
        the epoch observed at gather time, so a refresh racing this cycle
@@ -415,13 +414,13 @@ class ReplicaManager:
                         report.fetch_failures += 1
                         break  # owner cannot produce it; skip this key
                     fetched[key] = payload
-                words, n_bits, codec_name = payload
+                words, n_bits = payload
                 if len(words) > budget_left[target]:
                     continue
                 budget_left[target] -= len(words)
                 desired[target].add(key)
                 if key not in held[target]:
-                    installs[target].append((key, words, n_bits, codec_name))
+                    installs[target].append((key, words, n_bits))
 
         for shard in range(n):
             stale = held[shard] - desired[shard]

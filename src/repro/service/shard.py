@@ -19,9 +19,8 @@ Two adaptive layers sit on the static map:
 * **hot-set replication** (:mod:`repro.service.hotset`) -- each worker
   keeps decaying access counters and byte-budgeted replica slots; the
   pool exposes the pipe ops the :class:`~repro.service.hotset.ReplicaManager`
-  uses to snapshot accounting, fetch codec-tagged payload buffers from
-  owners,
-  and install/drop replicas on holders.  Request methods accept a
+  uses to snapshot accounting, fetch WAH word buffers from owners, and
+  install/drop replicas on holders.  Request methods accept a
   ``route`` (candidate shards from the
   :class:`~repro.service.hotset.RoutingTable`) and pick the least-loaded
   holder, falling back to the owner on any shard fault.
@@ -53,7 +52,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from repro.analysis.sql import QueryError
-from repro.bitmap.codec import codec_for_name, codec_of
+from repro.bitmap.codec import WAH
 from repro.bitmap.zorder import ZOrderLayout
 from repro.insitu.parallel import _pick_context
 from repro.service.cache import CacheKey
@@ -181,28 +180,21 @@ def _worker_main(
                         int(request["bin"]),
                         int(request.get("level", 0)),
                     )
-                    codec = codec_of(vector)
-                    payload = np.ascontiguousarray(
-                        codec.payload_words(vector), dtype="<u4"
-                    )
+                    words = np.ascontiguousarray(vector.words, dtype="<u4")
                     conn.send({
                         "ok": True,
-                        "words": payload.tobytes(),
+                        "words": words.tobytes(),
                         "n_bits": int(vector.n_bits),
-                        "codec": codec.name,
                     })
                 elif op == "install":
                     installed = 0
                     for item in request["replicas"]:
-                        f, v, b, lv, words, n_bits, codec_name = item
-                        codec = codec_for_name(codec_name)
+                        f, v, b, lv, words, n_bits = item
                         buf = np.frombuffer(words, dtype="<u4").astype(
                             np.uint32
                         )
                         key = CacheKey(f, v, int(b), int(lv))
-                        if replicas.install(
-                            key, codec.decode_payload(buf, int(n_bits))
-                        ):
+                        if replicas.install(key, WAH.decode(buf, int(n_bits))):
                             installed += 1
                     conn.send({
                         "ok": True,
@@ -482,9 +474,9 @@ class ShardPool:
 
     def fetch_vector(
         self, shard_id: int, key: CacheKey
-    ) -> tuple[bytes, int, str]:
-        """One bitvector's codec payload (raw ``uint32`` words as bytes,
-        bit length, codec name) from ``shard_id``'s service."""
+    ) -> tuple[bytes, int]:
+        """One bitvector's WAH words (raw little-endian ``uint32`` bytes)
+        and bit length from ``shard_id``'s service."""
         reply = self._unwrap(
             self._tracked_request(
                 self._handles[shard_id],
@@ -497,24 +489,23 @@ class ShardPool:
                 },
             )
         )
-        return reply["words"], reply["n_bits"], reply["codec"]
+        return reply["words"], reply["n_bits"]
 
     def install_replicas(
         self,
         shard_id: int,
-        items: Sequence[tuple[CacheKey, bytes, int, str]],
+        items: Sequence[tuple[CacheKey, bytes, int]],
     ) -> int:
-        """Push ``(key, raw words, n_bits, codec name)`` replicas onto one
-        worker."""
+        """Push ``(key, raw WAH words, n_bits)`` replicas onto one worker;
+        each is validated as it is decoded."""
         reply = self._unwrap(
             self._tracked_request(
                 self._handles[shard_id],
                 {
                     "op": "install",
                     "replicas": [
-                        (k.file, k.variable, k.bin, k.level, words, n_bits,
-                         codec_name)
-                        for k, words, n_bits, codec_name in items
+                        (k.file, k.variable, k.bin, k.level, words, n_bits)
+                        for k, words, n_bits in items
                     ],
                 },
             )

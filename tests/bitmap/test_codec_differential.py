@@ -1,14 +1,15 @@
-"""Cross-codec differential suite: every codec must agree with WAH.
+"""Cross-codec differential suite: every stored codec must agree with WAH.
 
-WAH is the reference codec (the paper's format); Roaring and WAH64 are
-storage optimisations.  The contract the pluggable codec layer makes is
-*value identity*: any bit pattern, encoded under any codec, must produce
-the same counts, the same logical-op results, the same query masks, and
-the same spliced cluster masks as the all-WAH pipeline -- byte-identical
-wherever a WAH word stream is the output.  These tests enumerate that
-contract over a fixed family of adversarial bin shapes; the Hypothesis
-suite (``test_codec_property``) drives the same assertions from random
-index sets.
+The storage codec is a property of the file: a bin is written under WAH
+or Roaring (or the per-bin smallest, ``"auto"``), and every reader
+decodes it back to WAH.  The contract is *value identity*: any bit
+pattern, stored under any codec and read back, must produce the same
+counts, the same logical-op results, the same query masks, and the same
+spliced cluster masks as the all-WAH pipeline -- byte-identical wherever
+a WAH word stream is the output.  These tests enumerate that contract
+over a fixed family of adversarial bin shapes; the Hypothesis suite
+(``test_codec_property``) drives the same assertions from random index
+sets.
 """
 
 import numpy as np
@@ -18,22 +19,19 @@ from repro.bitmap import (
     CODECS,
     BitmapIndex,
     EqualWidthBinning,
+    LazyBitmapIndex,
     RoaringBitVector,
-    WAH64BitVector,
     WAHBitVector,
-    build_bitvectors,
     codec_for_name,
     codec_for_tag,
-    codec_of,
-    convert,
     index_from_bytes,
     index_to_bytes,
+    save_index,
     select_codec,
+    serialized_size,
     splice_bitvectors,
-    to_wah,
 )
-from repro.bitmap.codec import as_wah_all
-from repro.bitmap.kernels import auto_count_many, auto_op_many
+from repro.bitmap.kernels import auto_count_many, auto_op_many, stack_groups
 from repro.bitmap.ops import logical_op_streaming
 from repro.bitmap.range_index import RangeBitmapIndex
 from repro.metrics.bitmap_metrics import (
@@ -45,11 +43,11 @@ from repro.metrics.bitmap_metrics import (
 )
 from repro.mining import correlation_mining
 
-CODEC_NAMES = ("wah", "roaring", "wah64")
+CODEC_NAMES = ("wah", "roaring")
 OPS = ("and", "or", "xor", "andnot")
 
 #: Lengths straddling every alignment boundary the codecs care about:
-#: 31-bit WAH groups, 63-bit WAH64 groups, and 65536-bit Roaring chunks.
+#: 31-bit WAH groups and 65536-bit Roaring chunks.
 LENGTHS = (1, 31, 63, 64, 200, 31 * 63, 65536, 65536 + 37)
 
 
@@ -67,7 +65,7 @@ def _patterns(n_bits: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
         "runs": (idx // max(1, n_bits // 7)) % 2 == 0,
         "alternating": idx % 2 == 0,
     }
-    if n_bits > 70:  # one run crossing both group sizes' boundaries
+    if n_bits > 70:  # one run crossing two group boundaries
         cross = np.zeros(n_bits, dtype=bool)
         cross[29:66] = True
         out["boundary_run"] = cross
@@ -80,15 +78,25 @@ def _all_cases(rng):
             yield f"{name}@{n_bits}", bits
 
 
+def _stored(bits: np.ndarray, codec_name: str) -> WAHBitVector:
+    """The vector a reader hands back for ``bits`` stored under a codec."""
+    codec = CODECS[codec_name]
+    vec = WAHBitVector.from_bools(bits)
+    return codec.decode(codec.encode(vec).copy(), vec.n_bits)
+
+
+def _reloaded(index: BitmapIndex) -> BitmapIndex:
+    return index_from_bytes(index_to_bytes(index))
+
+
 class TestEncodeDecode:
-    """Each codec is lossless over every pattern."""
+    """Each codec is lossless over every pattern, and decodes to WAH."""
 
     @pytest.mark.parametrize("codec_name", CODEC_NAMES)
     def test_roundtrip_to_bools(self, codec_name, rng):
-        codec = CODECS[codec_name]
         for label, bits in _all_cases(rng):
-            vec = codec.encode_bools(bits)
-            assert isinstance(vec, codec.vector_cls), label
+            vec = _stored(bits, codec_name)
+            assert type(vec) is WAHBitVector, label
             assert np.array_equal(vec.to_bools(), bits), label
             assert vec.count() == int(bits.sum()), label
 
@@ -98,30 +106,33 @@ class TestEncodeDecode:
         exact-size accessor agrees with the materialised payload."""
         codec = CODECS[codec_name]
         for label, bits in _all_cases(rng):
-            vec = codec.encode_bools(bits)
-            payload = codec.payload_words(vec)
+            vec = WAHBitVector.from_bools(bits)
+            payload = codec.encode(vec)
             assert payload.dtype == np.uint32, label
             assert payload.size == codec.payload_n_words(vec), label
             assert payload.size <= codec.max_payload_words(vec.n_bits), label
-            back = codec.decode_payload(payload.copy(), vec.n_bits)
+            back = codec.decode(payload.copy(), vec.n_bits)
             assert np.array_equal(back.to_bools(), bits), label
 
-    @pytest.mark.parametrize("codec_name", ("roaring", "wah64"))
+    @pytest.mark.parametrize("codec_name", ("roaring",))
     def test_convert_matches_wah(self, codec_name, rng):
-        """convert() and to_wah() are exact inverses through any codec."""
+        """A Roaring payload decodes to the exact WAH words it was
+        encoded from (canonical WAH: word-identical, not just
+        bit-identical), and keeps the Roaring vector's count."""
+        codec = CODECS[codec_name]
         for label, bits in _all_cases(rng):
             ref = WAHBitVector.from_bools(bits)
-            other = convert(ref, codec_name)
-            assert codec_of(other).name == codec_name, label
-            assert other.count() == ref.count(), label
-            round_tripped = to_wah(other)
-            assert np.array_equal(round_tripped.words, ref.words), label
+            payload = codec.encode(ref)
+            native = RoaringBitVector.from_u32_payload(payload, ref.n_bits)
+            assert native.count() == ref.count(), label
+            back = codec.decode(payload, ref.n_bits)
+            assert np.array_equal(back.words, ref.words), label
 
 
 def _combine(a, b, op):
-    """Same-codec Roaring / WAH64 pairs use the codec's native operator;
-    every other pairing goes through the kernel ladder."""
-    if type(a) is type(b) and not isinstance(a, WAHBitVector):
+    """Same-type Roaring pairs use Roaring's native operator (the codec
+    ablation's path); WAH operands go through the kernel ladder."""
+    if isinstance(a, RoaringBitVector):
         return {
             "and": lambda: a & b,
             "or": lambda: a | b,
@@ -132,12 +143,11 @@ def _combine(a, b, op):
 
 
 class TestLogicalOps:
-    """op(a, b) is value-identical for every codec pairing and op."""
+    """op(a, b) is value-identical for every stored-codec pairing."""
 
     @pytest.mark.parametrize("name_a", CODEC_NAMES)
     @pytest.mark.parametrize("name_b", CODEC_NAMES)
     def test_ops_match_boolean_oracle(self, name_a, name_b, rng):
-        ca, cb = CODECS[name_a], CODECS[name_b]
         for n_bits in (63, 200, 65536 + 37):
             patterns = _patterns(n_bits, rng)
             pairs = [
@@ -149,45 +159,57 @@ class TestLogicalOps:
             ]
             for pa, pb in pairs:
                 bits_a, bits_b = patterns[pa], patterns[pb]
-                va, vb = ca.encode_bools(bits_a), cb.encode_bools(bits_b)
-                for op in OPS:
-                    oracle = _bool_op(bits_a, bits_b, op)
-                    result = _combine(va, vb, op)
-                    label = f"{pa} {op} {pb} @{n_bits} [{name_a}x{name_b}]"
-                    assert np.array_equal(
-                        result.to_bools(), oracle
-                    ), label
-                    assert auto_count_many((va, vb), op) == int(
-                        oracle.sum()
-                    ), label
-                    # The WAH rendering of the result is byte-identical
-                    # to the all-WAH computation.
-                    ref = logical_op_streaming(
+                va, vb = _stored(bits_a, name_a), _stored(bits_b, name_b)
+                ref = {
+                    op: logical_op_streaming(
                         WAHBitVector.from_bools(bits_a),
                         WAHBitVector.from_bools(bits_b),
                         op,
                     )
-                    assert np.array_equal(
-                        to_wah(result).words, ref.words
+                    for op in OPS
+                }
+                for op in OPS:
+                    oracle = _bool_op(bits_a, bits_b, op)
+                    result = auto_op_many((va, vb), op)
+                    label = f"{pa} {op} {pb} @{n_bits} [{name_a}x{name_b}]"
+                    assert np.array_equal(result.to_bools(), oracle), label
+                    assert auto_count_many((va, vb), op) == int(
+                        oracle.sum()
                     ), label
+                    # Byte-identical to the all-WAH computation.
+                    assert np.array_equal(result.words, ref[op].words), label
 
     def test_mixed_pairs_return_wah(self, rng):
         bits = _patterns(200, rng)
-        roaring = CODECS["roaring"].encode_bools(bits["sparse"])
-        wah64 = CODECS["wah64"].encode_bools(bits["dense"])
-        assert isinstance(auto_op_many((roaring, wah64), "and"), WAHBitVector)
+        roaring = _stored(bits["sparse"], "roaring")
+        wah = _stored(bits["dense"], "wah")
+        assert isinstance(auto_op_many((roaring, wah), "and"), WAHBitVector)
 
     @pytest.mark.parametrize("codec_name", CODEC_NAMES)
     def test_same_codec_pairs_stay_native(self, codec_name, rng):
-        codec = CODECS[codec_name]
+        """WAH pairs combine to WAH; Roaring's in-memory operators (kept
+        for the codec ablation) stay Roaring and agree with the ladder."""
         bits = _patterns(200, rng)
-        a = codec.encode_bools(bits["mid"])
-        b = codec.encode_bools(bits["runs"])
-        assert isinstance(_combine(a, b, "or"), codec.vector_cls)
+        wah = auto_op_many(
+            (WAHBitVector.from_bools(bits["mid"]),
+             WAHBitVector.from_bools(bits["runs"])),
+            "or",
+        )
+        if codec_name == "wah":
+            a = WAHBitVector.from_bools(bits["mid"])
+            b = WAHBitVector.from_bools(bits["runs"])
+            cls = WAHBitVector
+        else:
+            a = RoaringBitVector.from_bools(bits["mid"])
+            b = RoaringBitVector.from_bools(bits["runs"])
+            cls = RoaringBitVector
+        out = _combine(a, b, "or")
+        assert isinstance(out, cls)
+        assert np.array_equal(out.to_bools(), wah.to_bools())
 
     def test_length_mismatch_rejected(self):
-        a = CODECS["roaring"].zeros(100)
-        b = CODECS["wah64"].zeros(101)
+        a = _stored(np.zeros(100, dtype=bool), "roaring")
+        b = _stored(np.zeros(101, dtype=bool), "wah")
         with pytest.raises(ValueError, match="length mismatch"):
             auto_op_many((a, b), "and")
         with pytest.raises(ValueError, match="length mismatch"):
@@ -205,7 +227,8 @@ def _bool_op(a: np.ndarray, b: np.ndarray, op: str) -> np.ndarray:
 
 
 class TestIndexQueries:
-    """Index builds under any codec answer queries byte-identically."""
+    """Indices stored under any codec answer queries byte-identically
+    once read back."""
 
     @pytest.fixture(scope="class")
     def data(self):
@@ -225,11 +248,11 @@ class TestIndexQueries:
     def reference(self, data, binning):
         return BitmapIndex.build(data, binning, codec="wah")
 
-    @pytest.mark.parametrize("codec_name", ("roaring", "wah64", "auto"))
+    @pytest.mark.parametrize("codec_name", ("roaring", "auto"))
     def test_masks_and_counts_identical(
         self, codec_name, data, binning, reference
     ):
-        index = BitmapIndex.build(data, binning, codec=codec_name)
+        index = _reloaded(BitmapIndex.build(data, binning, codec=codec_name))
         assert np.array_equal(index.bin_counts(), reference.bin_counts())
         for bins in ([0], [2, 3, 4], list(range(16)), [15]):
             ids = np.asarray(bins)
@@ -246,32 +269,37 @@ class TestIndexQueries:
             index.group_matrix(), reference.group_matrix()
         )
 
-    def test_auto_uses_multiple_codecs(self, data, binning):
-        """The skewed fixture exercises the policy: codec='auto' must
-        actually diversify, or the differential suite proves nothing."""
+    def test_auto_uses_multiple_codecs(self, data, binning, tmp_path):
+        """The skewed fixture exercises the rule: the codec='auto' record
+        must actually mix codecs, or the differential suite proves
+        nothing; each bin's tag is the codec select_codec picks."""
         index = BitmapIndex.build(data, binning, codec="auto")
-        kinds = {type(v).__name__ for v in index.bitvectors}
-        assert len(kinds) >= 2, f"auto selected only {kinds}"
-        for v in index.bitvectors:
-            assert select_codec(to_wah(v)).vector_cls is type(v)
+        save_index(tmp_path / "auto.rbmp", index)
+        with LazyBitmapIndex.open(tmp_path / "auto.rbmp") as lazy:
+            names = [c.name for c in lazy.codecs]
+        assert set(names) == set(CODEC_NAMES), names
+        assert names == [select_codec(v).name for v in index.bitvectors]
 
-    @pytest.mark.parametrize("codec_name", ("roaring", "wah64", "auto"))
+    @pytest.mark.parametrize("codec_name", ("roaring", "auto"))
     def test_serialization_roundtrip_preserves_codecs(
         self, codec_name, data, binning, reference
     ):
+        """A loaded index records its file's codec, so load -> save
+        rewrites the same bytes; its bins are WAH, word-identical to the
+        reference."""
         index = BitmapIndex.build(data, binning, codec=codec_name)
         blob = index_to_bytes(index)
         back = index_from_bytes(blob)
-        assert [type(v) for v in back.bitvectors] == [
-            type(v) for v in index.bitvectors
-        ]
+        assert back.codec == codec_name
+        assert index_to_bytes(back) == blob
         for v_back, v_ref in zip(back.bitvectors, reference.bitvectors):
-            assert np.array_equal(to_wah(v_back).words, v_ref.words)
+            assert type(v_back) is WAHBitVector
+            assert np.array_equal(v_back.words, v_ref.words)
 
 
 class TestSplice:
-    """The cluster splice is codec-blind: mixed-codec slab parts produce
-    the exact WAH stream the all-WAH splice produces."""
+    """The cluster splice over slab parts read back from mixed-codec
+    records produces the exact WAH stream the all-WAH splice produces."""
 
     #: Non-word-aligned part lengths: boundaries land mid-group.
     PARTS = (217, 340, 155)
@@ -281,9 +309,9 @@ class TestSplice:
         wah_parts = [WAHBitVector.from_bools(b) for b in bools]
         reference = splice_bitvectors(wah_parts)
         mixed = [
-            WAHBitVector.from_bools(bools[0]),
-            RoaringBitVector.from_bools(bools[1]),
-            WAH64BitVector.from_bools(bools[2]),
+            _stored(bools[0], "wah"),
+            _stored(bools[1], "roaring"),
+            _stored(bools[2], "roaring"),
         ]
         spliced = splice_bitvectors(mixed)
         assert isinstance(spliced, WAHBitVector)
@@ -292,30 +320,26 @@ class TestSplice:
             spliced.to_bools(), np.concatenate(bools)
         )
 
-    @pytest.mark.parametrize("codec_name", ("roaring", "wah64"))
+    @pytest.mark.parametrize("codec_name", ("roaring",))
     def test_uniform_non_wah_splice(self, codec_name, rng):
-        codec = CODECS[codec_name]
         bools = [rng.random(n) < 0.3 for n in self.PARTS]
         reference = splice_bitvectors(
             [WAHBitVector.from_bools(b) for b in bools]
         )
-        spliced = splice_bitvectors([codec.encode_bools(b) for b in bools])
+        spliced = splice_bitvectors([_stored(b, codec_name) for b in bools])
         assert np.array_equal(spliced.words, reference.words)
 
 
 class TestKernelBoundaries:
-    """The fused k-way kernels accept mixed-codec inputs and agree."""
+    """The fused k-way kernels agree on operands read back from records
+    of every codec."""
 
     def test_many_ops_codec_blind(self, rng):
-        from repro.bitmap import auto_count_many, auto_op_many, stack_groups
-
         bools = [rng.random(500) < p for p in (0.01, 0.3, 0.6, 0.95)]
         wah = [WAHBitVector.from_bools(b) for b in bools]
         mixed = [
-            WAHBitVector.from_bools(bools[0]),
-            RoaringBitVector.from_bools(bools[1]),
-            WAH64BitVector.from_bools(bools[2]),
-            RoaringBitVector.from_bools(bools[3]),
+            _stored(b, c)
+            for b, c in zip(bools, ("wah", "roaring", "wah", "roaring"))
         ]
         for op in ("and", "or", "xor"):
             assert np.array_equal(
@@ -325,11 +349,6 @@ class TestKernelBoundaries:
         assert np.array_equal(
             stack_groups(mixed, 500), stack_groups(wah, 500)
         )
-
-    def test_as_wah_all_identity_for_wah(self, rng):
-        vectors = [WAHBitVector.from_bools(rng.random(100) < 0.5)]
-        assert as_wah_all(vectors)[0] is vectors[0]
-
 
 
 def _mining_summary(result):
@@ -364,8 +383,9 @@ _ANALYSES = {
 
 
 class TestMixedCodecAnalyses:
-    """Analyses on a ``codec="auto"`` index (WAH bins plus a Roaring bin,
-    compressed enough for the run-merge routes) equal the all-WAH ones."""
+    """Analyses on indices read back from ``codec="auto"`` and
+    ``"roaring"`` records (compressed enough for the run-merge routes)
+    equal the all-WAH ones."""
 
     @pytest.fixture(scope="class")
     def pairs(self):
@@ -377,52 +397,71 @@ class TestMixedCodecAnalyses:
             data = np.sort(rng.uniform(0, 60, n))
             data[rng.choice(n, 240, replace=False)] = 63.5
             built[var] = {
-                codec: BitmapIndex.build(data, binning, codec=codec)
-                for codec in ("wah", "auto")
+                codec: _reloaded(BitmapIndex.build(data, binning, codec=codec))
+                for codec in ("wah", "roaring", "auto")
             }
         return built
 
     def test_auto_index_mixes_codecs(self, pairs):
         auto = pairs["a"]["auto"]
-        assert {codec_of(v).name for v in auto.bitvectors} == {"wah", "roaring"}
+        assert auto.codec == "auto"
+        assert {select_codec(v).name for v in auto.bitvectors} == {
+            "wah", "roaring"
+        }
+        assert all(type(v) is WAHBitVector for v in auto.bitvectors)
         assert auto.compression_ratio() < 0.01
+        assert serialized_size(auto) < serialized_size(pairs["a"]["wah"])
 
     @pytest.mark.parametrize("analysis", sorted(_ANALYSES))
     def test_matches_all_wah(self, analysis, pairs):
         run = _ANALYSES[analysis]
         expected = run(pairs["a"]["wah"], pairs["b"]["wah"])
-        assert run(pairs["a"]["auto"], pairs["b"]["auto"]) == expected
+        for codec in ("roaring", "auto"):
+            assert run(pairs["a"][codec], pairs["b"][codec]) == expected
+
 
 class TestRegistry:
     def test_names_tags_types_bijective(self):
         assert {c.name for c in CODECS.values()} == set(CODEC_NAMES)
         tags = {c.tag for c in CODECS.values()}
-        assert tags == {0, 1, 2}
+        assert tags == {0, 1}
         for c in CODECS.values():
             assert codec_for_name(c.name) is c
             assert codec_for_tag(c.tag) is c
-            assert codec_of(c.zeros(10)) is c
 
     def test_unknown_lookups_raise(self):
         with pytest.raises(ValueError, match="unknown codec 'bbc'"):
             codec_for_name("bbc")
+        with pytest.raises(ValueError, match="unknown codec 'wah64'"):
+            codec_for_name("wah64")
         with pytest.raises(ValueError, match="unknown codec tag 99"):
             codec_for_tag(99)
-        with pytest.raises(TypeError, match="not a registered"):
-            codec_of(np.zeros(4))
+        with pytest.raises(ValueError, match="unknown codec tag 2"):
+            codec_for_tag(2)
 
     def test_wah_is_tag_zero_reference(self):
         assert CODECS["wah"].tag == 0
-        assert CODECS["wah"].vector_cls is WAHBitVector
+        assert list(CODECS)[0] == "wah"  # first in line for ties
+
+
+def _payloads(vec: WAHBitVector) -> dict[str, int]:
+    return {name: c.payload_n_words(vec) for name, c in CODECS.items()}
 
 
 class TestSelectionPolicy:
+    """select_codec keeps the smallest exact payload, ties going to WAH."""
+
     def test_deterministic_and_total(self, rng):
-        """Every vector gets exactly one codec, stable across calls."""
-        for _, bits in _all_cases(rng):
+        """Every vector gets exactly one codec, stable across calls, and
+        it is the smallest payload (WAH on ties)."""
+        for label, bits in _all_cases(rng):
             vec = WAHBitVector.from_bools(bits)
             first = select_codec(vec)
-            assert select_codec(vec) is first
+            assert select_codec(vec) is first, label
+            sizes = _payloads(vec)
+            assert sizes[first.name] == min(sizes.values()), label
+            if sizes["wah"] == min(sizes.values()):
+                assert first.name == "wah", label
 
     def test_policy_reaches_all_codecs(self):
         rng = np.random.default_rng(7)
@@ -438,14 +477,64 @@ class TestSelectionPolicy:
         bits[1000:30000] = True
         assert select_codec(WAHBitVector.from_bools(bits)).name == "wah"
 
-    def test_build_bitvectors_codec_arg(self, rng):
+    def test_build_codec_arg(self, rng):
+        """BitmapIndex.build(codec=...) keeps every bin WAH and only sets
+        the written codec; unknown names are rejected."""
         data = rng.normal(0, 1, 2000)
         binning = EqualWidthBinning.from_data(data, 8)
-        wah_vecs = build_bitvectors(data, binning)
-        for name in CODEC_NAMES:
-            vecs = build_bitvectors(data, binning, codec=name)
-            assert all(type(v) is CODECS[name].vector_cls for v in vecs)
-            for v, ref in zip(vecs, wah_vecs):
-                assert np.array_equal(to_wah(v).words, ref.words)
-        with pytest.raises(ValueError, match="unknown codec"):
-            build_bitvectors(data, binning, codec="nope")
+        wah = BitmapIndex.build(data, binning)
+        for name in CODEC_NAMES + ("auto",):
+            index = BitmapIndex.build(data, binning, codec=name)
+            assert index.codec == name
+            for v, ref in zip(index.bitvectors, wah.bitvectors):
+                assert type(v) is WAHBitVector
+                assert np.array_equal(v.words, ref.words)
+        for bad in ("nope", "wah64"):
+            with pytest.raises(ValueError, match="unknown codec"):
+                BitmapIndex.build(data, binning, codec=bad)
+
+
+class TestAutoNeverLarger:
+    """A ``codec="auto"`` record is never larger than the all-WAH one, bin
+    for bin, and equals the per-bin minimum."""
+
+    @staticmethod
+    def _check(index: BitmapIndex, tmp_path) -> None:
+        paths = {}
+        for codec in ("wah", "auto"):
+            paths[codec] = tmp_path / f"{codec}.rbmp"
+            save_index(paths[codec], BitmapIndex(
+                index.binning, index.bitvectors, index.n_elements, codec=codec
+            ))
+        with LazyBitmapIndex.open(paths["wah"]) as wah, LazyBitmapIndex.open(
+            paths["auto"]
+        ) as auto:
+            for b, v in enumerate(index.bitvectors):
+                assert auto.nbytes_of(b) <= wah.nbytes_of(b), b
+                assert auto.nbytes_of(b) == 12 + 4 * min(_payloads(v).values())
+                assert auto.get(b) == v
+
+    @pytest.mark.parametrize(
+        "density", [0.0, 1e-4, 1e-3, 0.01, 0.05, 0.3, 0.7, 0.99, 1.0]
+    )
+    def test_density_sweep(self, density, tmp_path):
+        rng = np.random.default_rng(31)
+        n = 3 * 65536 + 101
+        bits = rng.random(n) < density
+        data = np.where(bits, 1.0, 0.0) + rng.uniform(0, 0.5, n)
+        index = BitmapIndex.build(data, EqualWidthBinning(0.0, 1.5, 6))
+        self._check(index, tmp_path)
+
+    def test_heat3d_index(self, tmp_path):
+        """The insitu_select field shape: 16x32x64 Heat3D, step 3, under
+        the 821-bin PrecisionBinning(19, 101, digits=1)."""
+        from repro.bitmap import PrecisionBinning
+        from repro.sims import Heat3D
+
+        sim = Heat3D((16, 32, 64), seed=11)
+        for _ in range(3):
+            step = sim.advance()
+        binning = PrecisionBinning(19, 101, digits=1)
+        assert binning.n_bins == 821
+        field = np.clip(step.fields["temperature"], 19, 101)
+        self._check(BitmapIndex.build(field, binning), tmp_path)

@@ -2,11 +2,11 @@
 
 The fixed-pattern differential suite (``test_codec_differential``) pins
 the adversarial shapes we know about; here random index sets probe the
-shapes we don't.  For every generated bit set and every codec pairing,
-``encode -> op -> count`` must agree with the boolean-array oracle and
-with the all-WAH reference, and codec-tagged records must round-trip
-exactly -- the same discipline ``test_property_serialization`` applies
-to the untagged format.
+shapes we don't.  For every generated bit set and every pairing of
+storage codecs, ``store -> load -> op -> count`` must agree with the
+boolean-array oracle and with the all-WAH reference, and codec-tagged
+records must round-trip exactly -- the same discipline
+``test_property_serialization`` applies to the untagged format.
 """
 
 import numpy as np
@@ -24,14 +24,13 @@ from repro.bitmap import (
     save_index,
     select_codec,
     splice_bitvectors,
-    to_wah,
 )
-from repro.bitmap.kernels import auto_count_many
+from repro.bitmap.kernels import auto_count_many, auto_op_many
 from repro.bitmap.ops import logical_op_streaming
 from repro.bitmap.serialization import LazyBitmapIndex, serialized_size
-from tests.bitmap.test_codec_differential import _combine
+from tests.bitmap.test_codec_differential import _stored
 
-CODEC_NAMES = ("wah", "roaring", "wah64")
+CODEC_NAMES = ("wah", "roaring")
 OPS = ("and", "or", "xor", "andnot")
 
 
@@ -86,35 +85,39 @@ class TestOpOracle:
         bits_a, bits_b = _bools(idx_a, n_bits), _bools(idx_b, n_bits)
         oracle = _bool_op(bits_a, bits_b, op)
 
-        va = CODECS[name_a].from_indices(idx_a, n_bits)
-        vb = CODECS[name_b].from_indices(idx_b, n_bits)
+        va = _stored(bits_a, name_a)
+        vb = _stored(bits_b, name_b)
         assert va.count() == idx_a.size
         assert auto_count_many((va, vb), op) == int(oracle.sum())
 
-        result = _combine(va, vb, op)
+        result = auto_op_many((va, vb), op)
         assert np.array_equal(result.to_bools(), oracle)
         wah_ref = logical_op_streaming(
             WAHBitVector.from_bools(bits_a), WAHBitVector.from_bools(bits_b), op
         )
-        assert np.array_equal(to_wah(result).words, wah_ref.words)
+        assert np.array_equal(result.words, wah_ref.words)
 
     @settings(max_examples=60, deadline=None)
     @given(case=index_sets(), name=st.sampled_from(CODEC_NAMES))
     def test_encode_decode_identity(self, case, name):
         n_bits, idx, _ = case
         codec = CODECS[name]
-        vec = codec.from_indices(idx, n_bits)
-        payload = codec.payload_words(vec)
+        vec = WAHBitVector.from_indices(idx, n_bits)
+        payload = codec.encode(vec)
         assert payload.size == codec.payload_n_words(vec)
-        back = codec.decode_payload(payload.copy(), n_bits)
-        assert np.array_equal(back.to_bools(), _bools(idx, n_bits))
+        back = codec.decode(payload.copy(), n_bits)
+        assert back == vec
 
     @settings(max_examples=60, deadline=None)
     @given(case=index_sets())
     def test_selection_is_pure(self, case):
         n_bits, idx, _ = case
         vec = WAHBitVector.from_indices(idx, n_bits)
-        assert select_codec(vec) is select_codec(vec)
+        picked = select_codec(vec)
+        assert select_codec(vec) is picked
+        assert picked.payload_n_words(vec) == min(
+            c.payload_n_words(vec) for c in CODECS.values()
+        )
 
 
 @st.composite
@@ -140,13 +143,8 @@ class TestTaggedRoundTrip:
         blob = index_to_bytes(index)
         assert len(blob) == serialized_size(index)
         back = index_from_bytes(blob)
-        assert [type(v) for v in back.bitvectors] == [
-            type(v) for v in index.bitvectors
-        ]
-        for v_back, v_orig in zip(back.bitvectors, index.bitvectors):
-            assert np.array_equal(
-                to_wah(v_back).words, to_wah(v_orig).words
-            )
+        assert index_to_bytes(back) == blob
+        assert back.bitvectors == index.bitvectors
         assert np.array_equal(back.bin_counts(), index.bin_counts())
 
     @settings(
@@ -159,15 +157,15 @@ class TestTaggedRoundTrip:
         path = tmp_path / "tagged.rbmp"
         save_index(path, index)
         with LazyBitmapIndex.open(path) as lazy:
-            assert [c.vector_cls for c in lazy.codecs] == [
-                type(v) for v in index.bitvectors
+            expected = [
+                select_codec(v) if index.codec == "auto" else CODECS[index.codec]
+                for v in index.bitvectors
             ]
+            assert lazy.codecs == expected
             back = lazy.materialize()
         for v_back, v_orig in zip(back.bitvectors, index.bitvectors):
-            assert type(v_back) is type(v_orig)
-            assert np.array_equal(
-                to_wah(v_back).words, to_wah(v_orig).words
-            )
+            assert type(v_back) is WAHBitVector
+            assert np.array_equal(v_back.words, v_orig.words)
 
     @settings(max_examples=30, deadline=None)
     @given(index=codec_indices())
@@ -199,7 +197,7 @@ class TestSpliceProperty:
         for n, name, seed in parts:
             bits = np.random.default_rng(seed).random(n) < 0.4
             bools.append(bits)
-            vectors.append(CODECS[name].encode_bools(bits))
+            vectors.append(_stored(bits, name))
             wah_parts.append(WAHBitVector.from_bools(bits))
         spliced = splice_bitvectors(vectors)
         reference = splice_bitvectors(wah_parts)

@@ -13,14 +13,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bitmap import BitmapIndex, EqualWidthBinning
+from repro.bitmap import BitmapIndex, EqualWidthBinning, WAHBitVector
+from repro.bitmap.codec import WAH
 from repro.bitmap.serialization import (
     FLAG_CODEC_TAGS,
+    LazyBitmapIndex,
     _header_size,
     index_from_bytes,
     index_to_bytes,
+    load_index,
     read_bitvector,
+    save_index,
 )
+from repro.bitmap.wah import FILL_FLAG
 
 
 def _sample_blob(rng) -> bytes:
@@ -156,7 +161,7 @@ class TestTaggedRecords:
         self, seed, position_frac, flip
     ):
         """The bitflip fuzz of ``TestBitflips``, over a tagged blob: a
-        flip in the tag table, a Roaring directory, or a WAH64 fill word
+        flip in the tag table, a Roaring directory, or a WAH fill word
         is either rejected cleanly or yields a decodable index."""
         local = np.random.default_rng(seed)
         blob = bytearray(index_to_bytes(_tagged_index(local, "auto")))
@@ -173,7 +178,7 @@ class TestTaggedRecords:
     @given(seed=st.integers(0, 2**16))
     def test_tagged_every_truncation_fails_cleanly(self, seed):
         local = np.random.default_rng(seed)
-        blob = index_to_bytes(_tagged_index(local, "wah64"))
+        blob = index_to_bytes(_tagged_index(local, "roaring"))
         for cut in range(0, len(blob) - 1, max(1, len(blob) // 60)):
             with pytest.raises((ValueError, EOFError)):
                 index_from_bytes(blob[:cut])
@@ -195,9 +200,115 @@ class TestRandomNoise:
             vector = read_bitvector(io.BytesIO(blob))
         except (ValueError, EOFError, OverflowError):
             return
-        # Parsed records may still be semantically corrupt; invariant
-        # checking must catch that (or the vector is actually fine).
-        try:
-            vector.check_invariants()
-        except AssertionError:
-            pass
+        # The decode point validates the word stream: a record that
+        # parses is a well-formed WAH vector.
+        vector.check_invariants()
+
+
+def _corrupt_wah_index(
+    words_fn, n_rows: int = 3100, bad_bin: int = 0
+) -> tuple[BitmapIndex, int]:
+    """A 4-bin index over sorted data whose ``bad_bin`` words pass through
+    ``words_fn`` unvalidated (the constructor trusts its words); returns
+    the index and the corrupted bin."""
+    data = np.sort(np.random.default_rng(5).uniform(0.0, 4.0, n_rows))
+    index = BitmapIndex.build(data, EqualWidthBinning(0.0, 4.0, 4))
+    vectors = list(index.bitvectors)
+    words = words_fn(vectors[bad_bin].words.copy())
+    vectors[bad_bin] = WAHBitVector(words, index.n_elements)
+    return BitmapIndex(index.binning, vectors, index.n_elements), bad_bin
+
+
+def _bump_first_fill(words: np.ndarray, bits: int = 40 * 31) -> np.ndarray:
+    words[np.flatnonzero(words & FILL_FLAG)[0]] += np.uint32(bits)
+    return words
+
+
+def _with_last(word: int):
+    return lambda w: np.concatenate([w[:-1], np.asarray([word], np.uint32)])
+
+
+#: Corruptions of one WAH stream that every reader must reject, as
+#: ``(words_fn, n_rows, bad_bin)``.  The padding cases use a ragged row
+#: count (3107 = 100 groups + 7 bits) and the top bin, whose stream ends
+#: in a partial literal.
+WAH_CORRUPTIONS = {
+    # The shown defect: the record loaded, bin counts summed to more
+    # rows than the index has, and joint_counts raised IndexError.
+    "fill_plus_40_groups": (_bump_first_fill, 3100, 0),
+    "fill_count_not_multiple_of_31": (
+        lambda w: _bump_first_fill(w, 1), 3100, 0
+    ),
+    "zero_fill": (
+        lambda w: np.concatenate([np.asarray([FILL_FLAG], np.uint32), w]),
+        3100, 0,
+    ),
+    "missing_word": (lambda w: w[:-1], 3100, 0),
+    "padding_bit_set": (lambda w: _with_last(w[-1] | (1 << 30))(w), 3107, 3),
+    "one_fill_over_last_group": (_with_last(0xC000001F), 3107, 3),
+}
+
+
+class TestWAHPayloadValidation:
+    """``WAHCodec.decode``, the one decode point, rejects WAH streams that
+    do not encode exactly the record's bits -- through every reader."""
+
+    @pytest.mark.parametrize("corruption", sorted(WAH_CORRUPTIONS))
+    def test_load_index_rejects(self, corruption, tmp_path):
+        index, _ = _corrupt_wah_index(*WAH_CORRUPTIONS[corruption])
+        path = tmp_path / "corrupt.rbmp"
+        save_index(path, index)
+        with pytest.raises(ValueError, match="corrupt WAH payload"):
+            load_index(path)
+        with pytest.raises(ValueError, match="corrupt WAH payload"):
+            index_from_bytes(index_to_bytes(index))
+
+    @pytest.mark.parametrize("corruption", sorted(WAH_CORRUPTIONS))
+    def test_lazy_get_rejects(self, corruption, tmp_path):
+        index, bad_bin = _corrupt_wah_index(*WAH_CORRUPTIONS[corruption])
+        path = tmp_path / "corrupt.rbmp"
+        save_index(path, index)
+        with LazyBitmapIndex.open(path) as lazy:
+            with pytest.raises(ValueError, match="corrupt WAH payload"):
+                lazy.get(bad_bin)
+            good = (bad_bin + 1) % index.n_bins
+            assert lazy.get(good) == index.bitvectors[good]
+
+    def test_shard_install_rejects(self, tmp_path):
+        from repro.service.cache import CacheKey
+        from repro.service.shard import ShardError, ShardPool
+
+        index, bad_bin = _corrupt_wah_index(_bump_first_fill)
+        step = tmp_path / "store" / "step_00000"
+        step.mkdir(parents=True)
+        good = index.bitvectors[bad_bin + 1]
+        save_index(step / "x.rbmp", BitmapIndex(
+            index.binning,
+            [good] * index.n_bins,
+            index.n_elements,
+        ))
+        key = CacheKey(str(step / "x.rbmp"), "x", 0, 0)
+        bad = index.bitvectors[bad_bin]
+        with ShardPool(tmp_path / "store", 1) as pool:
+            with pytest.raises(ShardError, match="corrupt WAH payload"):
+                pool.install_replicas(
+                    0, [(key, bad.words.astype("<u4").tobytes(), bad.n_bits)]
+                )
+            assert pool.install_replicas(
+                0, [(key, good.words.astype("<u4").tobytes(), good.n_bits)]
+            ) == 1
+
+    def test_valid_streams_pass(self, rng):
+        for n in (0, 1, 30, 31, 32, 3100):
+            for p in (0.0, 0.01, 0.5, 1.0):
+                vec = WAHBitVector.from_bools(rng.random(n) < p)
+                assert WAH.decode(vec.words, n) == vec
+
+    def test_retired_tag_2_rejected(self, rng):
+        """Tag 2 (the retired 64-bit WAH) is an unknown tag."""
+        index = _tagged_index(rng, "roaring")
+        blob = bytearray(index_to_bytes(index))
+        tag_offset = _header_size(index.binning)
+        blob[tag_offset] = 2
+        with pytest.raises(ValueError, match="unknown codec tag 2"):
+            index_from_bytes(bytes(blob))

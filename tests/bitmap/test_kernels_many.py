@@ -3,12 +3,12 @@
 One property test, :func:`test_ladder_parity`, holds the whole ladder to
 one reference: the left fold of the scalar oracle
 :func:`~repro.bitmap.ops.logical_op_streaming`, which shares no code with
-either path.  It runs k in 1..8 x every op x {all-WAH, mixed codec} x
-{forced dense, forced run merge, public entry}, with ragged
-(non-multiple-of-31) and empty lengths, fills, run-structured and noise
-operands, and duplicates.  Routes are forced by patching the one
-decision point, ``prefers_runmerge``, so the forced runs still pass
-through the public entries' codec conversion.
+either path.  It runs k in 1..8 x every op x {forced dense, forced run
+merge, public entry}, with ragged (non-multiple-of-31) and empty
+lengths, fills, run-structured and noise operands, and duplicates.
+Routes are forced by patching the one decision point,
+``prefers_runmerge``, so the forced runs still pass through the public
+entries.
 
 Canonical WAH encoding makes word-level ``==`` (words + n_bits) the
 right equality: any divergence in compression is a real bug, not an
@@ -35,7 +35,6 @@ from repro.bitmap.binning import (
     ExplicitBinning,
     PrecisionBinning,
 )
-from repro.bitmap.codec import convert
 from repro.bitmap.index import BitmapIndex
 from repro.bitmap.kernels import (
     KWAY_RUNMERGE_RATIO_THRESHOLD,
@@ -109,30 +108,13 @@ def ladder_cases(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    vectors=ladder_cases(),
-    op=st.sampled_from(OPS),
-    mixed=st.booleans(),
-    data=st.data(),
-)
-def test_ladder_parity(vectors, op, mixed, data):
+@given(vectors=ladder_cases(), op=st.sampled_from(OPS))
+def test_ladder_parity(vectors, op):
     expected = _oracle_fold(vectors, op)
-    operands = vectors
-    if mixed:
-        # Store some operands under the other codecs; the entries must
-        # convert them at the merge boundary without changing a word.
-        codecs = data.draw(
-            st.lists(
-                st.sampled_from(("wah", "roaring", "wah64")),
-                min_size=len(vectors),
-                max_size=len(vectors),
-            )
-        )
-        operands = [convert(v, c) for v, c in zip(vectors, codecs)]
     for route in ("dense", "runmerge", "entry"):
         with _forced(route):
-            out = auto_op_many(operands, op)
-            count = auto_count_many(operands, op)
+            out = auto_op_many(vectors, op)
+            count = auto_count_many(vectors, op)
         out.check_invariants()
         assert type(out) is WAHBitVector, route
         assert out == expected, f"{route} diverged from the oracle fold"

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from repro.analysis.queries import restricted_joint_counts
 from repro.bitmap.binning import DistinctValueBinning, EqualWidthBinning, common_binning
+from repro.bitmap.codec import select_codec
 from repro.bitmap.index import BitmapIndex
 from repro.bitmap.ordering import RowOrdering, compute_ordering
+from repro.bitmap.serialization import index_from_bytes, index_to_bytes
 from repro.bitmap.wah import WAHBitVector
 from repro.metrics import bitmap_metrics
 from repro.metrics.bitmap_metrics import (
@@ -174,7 +176,7 @@ PARITY_CASES = [
     "n31_single_bin",  # one 31-bit group; A is a single all-1-fill bin
     "empty_bins",
     "sorted",  # long 1-fills
-    "auto_codec",  # Roaring / WAH64 bins beside WAH ones
+    "auto_codec",  # read back from codec="auto" records (Roaring + WAH bins)
     "shared_ordering",  # two indices under one RowOrdering object
     "m_ne_n",
 ]
@@ -199,11 +201,12 @@ def _parity_case(name: str):
     elif name == "sorted":
         a, b = np.sort(a), np.sort(b)
     elif name == "auto_codec":
-        # Sorted low half (run-structured bins stay WAH), random high half
-        # (literal-soup bins go Roaring / WAH64).
+        # Sorted low half (run-structured bins stay WAH), random high half,
+        # and a few scattered rows in the top bin (smaller as Roaring).
         half = n // 2
         a[:half] = np.sort(a[:half]) * 0.5
-        a[half:] = 0.5 + 0.5 * a[half:]
+        a[half:] = 0.5 + 0.45 * a[half:]
+        a[rng.choice(n, 20, replace=False)] = 0.99
         b = np.clip(a + rng.normal(0.0, 0.05, n), 0.0, 1.0)
         bins_a = bins_b = EqualWidthBinning(0.0, 1.0, 24)
         build = {"codec": "auto"}
@@ -213,6 +216,8 @@ def _parity_case(name: str):
         bins_b = EqualWidthBinning(0.0, 1.0, 7)
     ia = BitmapIndex.build(a, bins_a, **build)
     ib = BitmapIndex.build(b, bins_b, **build)
+    if name == "auto_codec":
+        ia, ib = (index_from_bytes(index_to_bytes(i)) for i in (ia, ib))
     ordering = build.get("ordering")
     if ordering is not None:
         assert ia.ordering is ib.ordering and not ordering.is_identity
@@ -224,8 +229,8 @@ def _parity_case(name: str):
     if name == "empty_bins":
         assert (ia.bin_counts() == 0).any() and (ib.bin_counts() == 0).any()
     if name == "auto_codec":
-        assert any(not isinstance(v, WAHBitVector) for v in ia.bitvectors)
-        assert any(isinstance(v, WAHBitVector) for v in ia.bitvectors)
+        assert {select_codec(v).name for v in ia.bitvectors} == {"wah", "roaring"}
+        assert all(type(v) is WAHBitVector for v in ia.bitvectors)
     return a, b, bins_a, bins_b, ia, ib, a_rows, b_rows
 
 

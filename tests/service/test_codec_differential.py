@@ -1,27 +1,33 @@
-"""Service-level codec differential: auto-selected codecs never change
-an answer.
+"""Service-level codec differential: the storage codec never changes an
+answer.
 
-Twin cluster stores are built from identical data -- one forced-WAH,
-one with density-driven codec auto-selection (so its records carry the
-V2.1 tag table and mix WAH, Roaring, and WAH64 bins).  Scatter-gather
-global queries, rank-qualified queries, and mask queries over shard
-counts {1, 2, 4} must return values and mask words byte-identical
-between the two stores, with the forced-WAH in-process service as the
-oracle.  With replication enabled, the codec-tagged replica wire
-(fetch/install) must move non-WAH payloads between workers without
-disturbing a single byte of any answer.
+Cluster stores are built from identical data -- one all-WAH, one written
+with ``codec="auto"`` (so its records carry the V2.1 tag table and mix
+WAH and Roaring payloads), one all-Roaring.  Scatter-gather global
+queries, rank-qualified queries, and mask queries over shard counts
+{1, 2, 4} must return values and mask words byte-identical between the
+stores, with the all-WAH in-process service as the oracle.  Every
+reader decodes to WAH, so with replication enabled the replica wire
+(fetch/install) moves WAH words between workers without disturbing a
+single byte of any answer.
 """
 
 import numpy as np
 import pytest
 
-from repro.bitmap import BitmapIndex, EqualWidthBinning, save_index
+from repro.bitmap import (
+    BitmapIndex,
+    EqualWidthBinning,
+    LazyBitmapIndex,
+    load_index,
+    save_index,
+)
 from repro.bitmap.wah import WAHBitVector
 from repro.service import QueryServer, QueryService, ServiceClient
 
 RANKS = 3
 #: Unequal, non-word-aligned slab sizes: splice boundaries land
-#: mid-group for both 31-bit and 63-bit group codecs.
+#: mid-group.
 RANK_ELEMENTS = [217, 340, 155]
 STEPS = (0, 2)
 BINS = 16
@@ -55,7 +61,7 @@ SKEWED_QUERIES = [
 
 def _build_store(root, codec: str) -> None:
     """A rank-sharded store; data is a fixed function of (rank, step, var)
-    so the wah and auto stores index byte-for-byte identical values."""
+    so every store indexes byte-for-byte identical values."""
     binnings = {
         "temperature": EqualWidthBinning(0.0, 10.0, BINS),
         "salinity": EqualWidthBinning(20.0, 40.0, BINS),
@@ -71,7 +77,7 @@ def _build_store(root, codec: str) -> None:
                 )
                 lo, hi = float(binning.edges[0]), float(binning.edges[-1])
                 # Mixture: a dense spike in one bin plus a uniform tail,
-                # so auto-selection diversifies even on small slabs.
+                # so the auto record mixes codecs even on small slabs.
                 data = np.where(
                     rng.random(n) < 0.4,
                     rng.uniform(lo, lo + (hi - lo) / BINS, n),
@@ -84,25 +90,27 @@ def _build_store(root, codec: str) -> None:
 @pytest.fixture(scope="module")
 def twin_roots(tmp_path_factory):
     base = tmp_path_factory.mktemp("codec_diff")
-    root_wah, root_auto = base / "store_wah", base / "store_auto"
-    _build_store(root_wah, "wah")
-    _build_store(root_auto, "auto")
-    # The differential is vacuous unless auto actually diversified.
-    from repro.bitmap.serialization import load_index
-
-    kinds = set()
-    for path in sorted(root_auto.rglob("*.rbmp")):
-        kinds |= {type(v) for v in load_index(path).bitvectors}
-    assert len(kinds) >= 2, f"auto store is single-codec: {kinds}"
-    assert WAHBitVector not in kinds or len(kinds) > 1
-    return root_wah, root_auto
+    roots = {codec: base / f"store_{codec}" for codec in ("wah", "auto", "roaring")}
+    for codec, root in roots.items():
+        _build_store(root, codec)
+    # The differential is vacuous unless the auto store mixes codecs; and
+    # whatever a file stores, readers hand back WAH.
+    tags = set()
+    for path in sorted(roots["auto"].rglob("*.rbmp")):
+        with LazyBitmapIndex.open(path) as lazy:
+            tags |= {c.name for c in lazy.codecs}
+        assert all(
+            type(v) is WAHBitVector for v in load_index(path).bitvectors
+        )
+    assert tags == {"wah", "roaring"}, f"auto store tags: {tags}"
+    return roots["wah"], roots["auto"], roots["roaring"]
 
 
 @pytest.fixture(scope="module", params=[1, 2, 4])
 def auto_server(request, twin_roots):
     """A sharded, replicating server over the auto-codec store, plus the
     forced-WAH in-process oracle."""
-    root_wah, root_auto = twin_roots
+    root_wah, root_auto, _ = twin_roots
     with QueryService(root_wah, max_workers=2) as oracle:
         server = QueryServer(
             root_auto,
@@ -144,8 +152,8 @@ class TestAutoVsForcedWAH:
 class TestCodecReplicaWire:
     def test_replication_moves_tagged_payloads(self, auto_server):
         """Warm a skewed workload, rebalance, and re-check answers: the
-        replica wire ships codec-tagged (possibly non-WAH) payloads and
-        results stay byte-identical with routes live."""
+        replica wire ships the WAH words decoded from Roaring / mixed
+        records, and results stay byte-identical with routes live."""
         oracle, server, shards = auto_server
         with ServiceClient("127.0.0.1", server.port) as client:
             for sql in SKEWED_QUERIES:
@@ -165,3 +173,27 @@ class TestCodecReplicaWire:
             with ServiceClient("127.0.0.1", server.port) as client:
                 remote = client.mask(sql, step=0)
             assert np.array_equal(remote["mask"].words, local.mask.words)
+
+
+class TestRoaringStore:
+    def test_all_roaring_store_matches_wah(self, twin_roots):
+        """Every value and mask over the all-Roaring store, served by 2
+        shards, equals the all-WAH in-process oracle."""
+        root_wah, _, root_roaring = twin_roots
+        with QueryService(root_wah, max_workers=2) as oracle:
+            server = QueryServer(root_roaring, shards=2, port=0)
+            with server.launch(), ServiceClient(
+                "127.0.0.1", server.port
+            ) as client:
+                for step in STEPS:
+                    for sql in QUERIES:
+                        remote = client.query(sql, step=step)
+                        assert remote["value"] == oracle.execute(
+                            sql, step=step
+                        ).value
+                for sql in MASK_QUERIES:
+                    local = oracle.execute_mask(sql, step=0)
+                    remote = client.mask(sql, step=0)
+                    assert np.array_equal(
+                        remote["mask"].words, local.mask.words
+                    )
