@@ -1,20 +1,24 @@
-"""Figure 2's parallel bitmap generation, measured with real threads.
+"""Figure 2's parallel bitmap generation, measured on worker processes.
 
 The paper assigns sub-blocks of each time-step to separate cores, each
 building compressed bitvectors independently, then stitches the results.
-This benchmark measures the real threaded *and* process builders at
-several worker counts (on a single-CPU container the win is bounded; the
-*correctness* of the stitch and the per-worker overhead are what we pin
-down) and verifies word-identical output.
+This benchmark measures a persistent :class:`SharedCoresEngine` (the form
+the pipeline uses -- fork cost paid once, not per build) at several
+worker counts and verifies word-identical output.  On a low-core host
+the win is bounded; the *correctness* of the stitch and the per-worker
+overhead are what the table pins down.
+
+Run:  PYTHONPATH=src python -m pytest benchmarks/bench_parallel_builder.py
 """
 
+import os
 import time
 
 import numpy as np
 import pytest
 
 from _tables import format_table, save_table
-from repro.bitmap import PrecisionBinning, build_bitvectors, build_bitvectors_parallel
+from repro.bitmap import PrecisionBinning, build_bitvectors
 from repro.insitu.parallel import SharedCoresEngine
 from repro.sims import Heat3D
 
@@ -43,7 +47,8 @@ def test_parallel_output_identical(benchmark, field):
     def check():
         serial = build_bitvectors(data, binning)
         for workers in (2, 4):
-            assert build_bitvectors_parallel(data, binning, n_workers=workers) == serial
+            with SharedCoresEngine(workers, binning) as engine:
+                assert engine.build_bitvectors(data) == serial
         return True
 
     assert benchmark.pedantic(check, rounds=1, iterations=1)
@@ -57,16 +62,12 @@ def test_kernel_serial_build(benchmark, field):
 @pytest.mark.parametrize("workers", [2, 4])
 def test_kernel_parallel_build(benchmark, field, workers):
     data, binning = field
-    benchmark(lambda: build_bitvectors_parallel(data, binning, n_workers=workers))
+    with SharedCoresEngine(workers, binning) as engine:
+        benchmark(lambda: engine.build_bitvectors(data))
 
 
 def test_partitioning_table(benchmark, field):
-    """Record stitched word streams *and* wall-clock speedup per split.
-
-    Threads go through the one-shot ``build_bitvectors_parallel``;
-    processes through a persistent :class:`SharedCoresEngine` (the form
-    the pipeline uses -- fork cost paid once, not per build).
-    """
+    """Record stitched word streams *and* wall-clock speedup per split."""
     data, binning = field
 
     def table():
@@ -76,21 +77,6 @@ def test_partitioning_table(benchmark, field):
         rows: list[list[object]] = [
             ["serial", 1, serial_words, True, t_serial, 1.0]
         ]
-        for workers in (2, 4, 8):
-            parts = build_bitvectors_parallel(data, binning, n_workers=workers)
-            t = _best_ms(
-                lambda: build_bitvectors_parallel(data, binning, n_workers=workers)
-            )
-            rows.append(
-                [
-                    "threads",
-                    workers,
-                    sum(v.n_words for v in parts),
-                    parts == serial,
-                    t,
-                    t_serial / t,
-                ]
-            )
         for workers in (2, 4):
             with SharedCoresEngine(workers, binning) as engine:
                 parts = engine.build_bitvectors(data)
@@ -109,7 +95,8 @@ def test_partitioning_table(benchmark, field):
 
     rows = benchmark.pedantic(table, rounds=1, iterations=1)
     text = format_table(
-        "Figure 2 parallel builder -- stitched output and wall clock vs serial",
+        "Figure 2 parallel builder -- stitched output and wall clock vs serial "
+        f"(host: {len(os.sched_getaffinity(0))} cores)",
         ["executor", "workers", "total_words", "identical", "best_ms", "speedup"],
         rows,
     )

@@ -31,7 +31,6 @@ from repro.bitmap.builder import (
     OnlineBitmapBuilder,
     build_bitvectors,
     build_bitvectors_batch,
-    build_bitvectors_parallel,
     concatenate_bitvectors,
     splice_bitvectors,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "OnlineBitmapBuilder",
     "build_bitvectors",
     "build_bitvectors_batch",
-    "build_bitvectors_parallel",
     "concatenate_bitvectors",
     "splice_bitvectors",
     "CODECS",

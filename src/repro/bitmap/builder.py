@@ -308,68 +308,6 @@ def stitch_buffer_parts(
     ]
 
 
-def build_bitvectors_parallel(
-    data: np.ndarray,
-    binning: Binning,
-    *,
-    n_workers: int,
-    chunk_elements: int = 1 << 20,
-    executor: str = "threads",
-) -> list[WAHBitVector]:
-    """Figure 2's parallel generation: sub-blocks built concurrently.
-
-    The data is "logically partitioned into (n - m) sub-blocks" (one per
-    worker here), each worker builds compressed bitvectors for its block
-    "without having any dependency among different cores", and the blocks
-    are stitched with :func:`concatenate_bitvectors`.  The result is
-    word-identical to a serial build (tested).
-
-    ``executor='threads'`` suits numpy-land one-shot calls (the
-    binning/bincount kernels release the GIL for their bulk work);
-    ``executor='processes'`` routes through the shared-memory
-    :class:`~repro.insitu.parallel.SharedCoresEngine`, paying a pool
-    start-up cost per call -- hold an engine open instead when building
-    many steps.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    flat = np.asarray(data).ravel()
-    n = flat.size
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-    if executor not in ("threads", "processes"):
-        raise ValueError(f"unknown executor {executor!r}")
-    if n_workers == 1 or n < n_workers * GROUP_BITS:
-        return build_bitvectors(flat, binning, chunk_elements=chunk_elements)
-    if executor == "processes":
-        from repro.insitu.parallel import SharedCoresEngine
-
-        with SharedCoresEngine(
-            n_workers, binning, chunk_elements=chunk_elements
-        ) as engine:
-            return engine.build_bitvectors(flat)
-
-    # Block boundaries on 31-bit group boundaries.
-    per_block = -(-n // n_workers)
-    per_block += (-per_block) % GROUP_BITS
-    bounds = list(range(0, n, per_block)) + [n]
-    blocks = [flat[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        results = list(
-            pool.map(
-                lambda block: build_bitvectors(
-                    block, binning, chunk_elements=chunk_elements
-                ),
-                blocks,
-            )
-        )
-    return [
-        concatenate_bitvectors([r[b] for r in results])
-        for b in range(binning.n_bins)
-    ]
-
-
 def build_bitvectors_batch(data: np.ndarray, binning: Binning) -> list[WAHBitVector]:
     """One-shot reference builder: materialise each bin's boolean mask.
 

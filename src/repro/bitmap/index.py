@@ -96,7 +96,8 @@ class BitmapIndex:
 
         ``codec`` is the storage codec the index is written under: a
         registered codec name, or ``"auto"`` for the smallest payload
-        per bin (:func:`repro.bitmap.codec.select_codec`).  The bins are
+        per bin (:func:`repro.bitmap.codec.select_codec`) when that beats
+        all-WAH after the per-bin tag table.  The bins are
         WAH in memory whatever the codec.
 
         ``ordering`` optionally permutes rows before encoding

@@ -315,10 +315,19 @@ def _header_size(binning: Binning) -> int:
 
 def _index_codecs(index: BitmapIndex) -> list[Codec]:
     """Each bin's storage codec: the index's codec name, per bin for
-    ``"auto"``."""
-    if index.codec == "auto":
-        return [select_codec(v) for v in index.bitvectors]
-    return [codec_for_name(index.codec)] * index.n_bins
+    ``"auto"`` -- unless the per-bin picks save no more payload bytes
+    than their one-byte-per-bin tag table costs, in which case ``"auto"``
+    stores untagged WAH.  An ``auto`` file is never larger than the
+    all-WAH file."""
+    if index.codec != "auto":
+        return [codec_for_name(index.codec)] * index.n_bins
+    picks = [select_codec(v) for v in index.bitvectors]
+    saved = 4 * sum(
+        v.n_words - c.payload_n_words(v)
+        for c, v in zip(picks, index.bitvectors)
+        if c is not WAH_CODEC
+    )
+    return picks if saved > index.n_bins else [WAH_CODEC] * index.n_bins
 
 
 def _file_codec(codecs: list[Codec]) -> str:
@@ -337,7 +346,8 @@ def write_index(
     footer enabling random access; ``version=1`` writes the legacy layout.
     Each bin's payload is encoded under the index's codec name
     (``index.codec``; ``"auto"`` picks per bin with
-    :func:`~repro.bitmap.codec.select_codec`).  Records holding any
+    :func:`~repro.bitmap.codec.select_codec` when that saves more than
+    the tag table costs, else stores all-WAH).  Records holding any
     non-WAH payload are written in the V2.1 codec-tagged layout (flags
     bit 0 + per-bin tag table); all-WAH records stay byte-identical to
     plain V2.  Indices carrying a

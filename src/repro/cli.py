@@ -59,10 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="shared",
                    help="core-allocation strategy for --workers > 1 "
                         "(auto calibrates the Eq. 1-2 split)")
-    p.add_argument("--executor", choices=["threads", "processes"],
-                   default="processes",
-                   help="parallel engine backend (processes = shared-memory "
-                        "multi-core; threads = GIL-bound escape hatch)")
     p.add_argument("--queue-mb", type=float, default=64.0,
                    help="separate-cores data-queue capacity in MiB")
     p.add_argument("--ordering", choices=["lex", "gray", "hist"], default=None,
@@ -270,7 +266,6 @@ def _cmd_insitu(args: argparse.Namespace) -> int:
                 args.select,
                 allocation=resolve_allocation(args.allocation, args.workers),
                 n_workers=args.workers,
-                executor=args.executor,
                 queue_capacity_bytes=int(args.queue_mb * 2**20),
             )
         else:

@@ -19,7 +19,7 @@ from repro.insitu.memory import (
     fulldata_resident_model,
 )
 from repro.insitu.pipeline import InSituPipeline, PipelineResult, default_payload
-from repro.insitu.queue import BoundedDataQueue, QueueClosed, QueueStats
+from repro.insitu.queue import QueueClosed, QueueStats
 from repro.insitu.sampling import (
     Sampler,
     pairwise_conditional_entropy_errors,
@@ -49,7 +49,6 @@ __all__ = [
     "InSituPipeline",
     "PipelineResult",
     "default_payload",
-    "BoundedDataQueue",
     "QueueClosed",
     "QueueStats",
     "Sampler",

@@ -21,25 +21,16 @@ one step loop over whichever engine a run is configured with:
   not pickled objects), and stitched with
   :func:`~repro.bitmap.builder.concatenate_bitvectors` -- word-identical
   to a serial build, including partition boundaries that are not
-  multiples of 31 (only the *last* block may be ragged).  With
-  ``executor='threads'`` the same split runs on a thread pool
-  (:func:`~repro.bitmap.builder.build_bitvectors_parallel`).
+  multiples of 31 (only the *last* block may be ragged).
 
 * :class:`SeparateCoresEngine` -- asynchronous; a persistent encoder
   process pool drains a bounded ring of shared-memory payload *slots*
-  while the simulation advances in the parent.  The ring carries the
-  :class:`~repro.insitu.queue.BoundedDataQueue` backpressure contract
-  across processes: ``submit`` blocks while every slot is in flight, and
-  a worker failure poisons the ring so the producer raises
+  while the simulation advances in the parent.  The ring is §2.3's data
+  queue: ``submit`` blocks while every slot is in flight, and a worker
+  failure poisons the ring so the producer raises
   :class:`~repro.insitu.queue.QueueFailed` instead of deadlocking.  The
   worker count comes from the paper's Equations 1-2 split
   (:func:`~repro.insitu.allocation.equation_1_2_allocation`).
-
-* :class:`ThreadedSeparateCoresEngine` -- asynchronous; the same
-  contract on a thread pool draining a byte-bounded
-  :class:`~repro.insitu.queue.BoundedDataQueue`.  The GIL serialises the
-  Python halves of bitmap construction, so threads show the *semantics*
-  of Separate Cores, not the paper's Figure 7-12 wall-clock speedups.
 
 The process engines keep their pools and slabs alive across steps --
 process start-up and slab allocation are paid once per run, not per
@@ -55,7 +46,7 @@ import threading
 from dataclasses import dataclass
 from multiprocessing import get_context
 from multiprocessing.shared_memory import SharedMemory
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Protocol
+from typing import TYPE_CHECKING, Iterable, Protocol
 
 import numpy as np
 
@@ -63,17 +54,11 @@ from repro.bitmap.binning import Binning, PrecisionBinning
 from repro.bitmap.builder import (
     bitvectors_to_buffers,
     build_bitvectors,
-    build_bitvectors_parallel,
     stitch_buffer_parts,
 )
 from repro.bitmap.index import BitmapIndex
 from repro.bitmap.wah import WAHBitVector
-from repro.insitu.queue import (
-    BoundedDataQueue,
-    QueueClosed,
-    QueueFailed,
-    QueueStats,
-)
+from repro.insitu.queue import QueueClosed, QueueFailed, QueueStats
 from repro.selection.partitioning import validate_partitions
 from repro.util.bits import GROUP_BITS
 
@@ -256,9 +241,8 @@ def _worker(spec_blob: bytes, task_q, result_q, free_q=None) -> None:
 
     A Shared Cores worker reports a failed block and keeps serving.  A
     Separate Cores worker (``free_q`` given) releases its slot after every
-    task and *dies* after shipping a failure, mirroring
-    :class:`ThreadedSeparateCoresEngine`'s workers: the parent's ring
-    poisons itself so the producer raises instead of deadlocking.
+    task and *dies* after shipping a failure: the parent's ring poisons
+    itself so the producer raises instead of deadlocking.
     """
     spec: _BuildSpec = pickle.loads(spec_blob)
     attachments = _AttachmentCache()
@@ -363,22 +347,19 @@ def _spawn(ctx, target, args: tuple, n_workers: int, label: str) -> list:
     return procs
 
 
-def _stop(procs: list, task_q) -> int:
-    """Send every worker its sentinel and join it; returns how many had
-    to be terminated."""
+def _stop(procs: list, task_q) -> None:
+    """Send every worker its sentinel and join it, terminating any that
+    does not exit in time."""
     for _ in procs:
         try:
             task_q.put(None)
         except (ValueError, OSError):  # pragma: no cover - queue gone
             break
-    stuck = 0
     for proc in procs:
         proc.join(timeout=_JOIN_SECONDS)
         if proc.is_alive():  # pragma: no cover - stuck worker
             proc.terminate()
             proc.join(timeout=_JOIN_SECONDS)
-            stuck += 1
-    return stuck
 
 
 class _PoolEngine:
@@ -403,10 +384,8 @@ class SharedCoresEngine(_PoolEngine):
 
     One time-step at a time: the payload lands in a shared slab, each
     worker process builds its 31-aligned sub-block zero-copy, and the
-    parent stitches the word buffers.  ``executor='threads'`` splits the
-    same way on a thread pool instead
-    (:func:`~repro.bitmap.builder.build_bitvectors_parallel`) and starts
-    no processes.  Pass ``binning=None`` to supply a per-step binning at
+    parent stitches the word buffers.  Pass ``binning=None`` to supply a
+    per-step binning at
     :meth:`build_bitvectors` time (the adaptive pipeline does; the parent
     derives the binning, workers receive it pickled per task).
     """
@@ -419,24 +398,17 @@ class SharedCoresEngine(_PoolEngine):
         n_workers: int,
         binning: Binning | None = None,
         *,
-        executor: str = "processes",
         chunk_elements: int = 1 << 20,
         start_method: str | None = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        if executor not in ("threads", "processes"):
-            raise ValueError(f"unknown executor {executor!r}")
         self.n_workers = int(n_workers)
         self.binning = binning
-        self.executor = executor
         self._spec = _BuildSpec(binning, chunk_elements=chunk_elements)
         self._slab = _Slab()
         self._seq = 0
         self._closed = False
-        self._procs = []
-        if executor == "threads":
-            return
         ctx = _pick_context(start_method)
         self._task_q = ctx.Queue()
         self._result_q = ctx.Queue()
@@ -463,13 +435,6 @@ class SharedCoresEngine(_PoolEngine):
             # Too small to split (or nothing to gain): build in-process.
             return build_bitvectors(
                 flat, binning, chunk_elements=self._spec.chunk_elements
-            )
-        if self.executor == "threads":
-            return build_bitvectors_parallel(
-                flat,
-                binning,
-                n_workers=self.n_workers,
-                chunk_elements=self._spec.chunk_elements,
             )
         blocks = group_aligned_partitions(flat.size, self.n_workers)
         shm_name = self._slab.write(flat)
@@ -531,11 +496,10 @@ class SharedCoresEngine(_PoolEngine):
         if self._closed:
             return
         self._closed = True
-        if self._procs:
-            _stop(self._procs, self._task_q)
-            for q in (self._task_q, self._result_q):
-                q.close()
-                q.join_thread()
+        _stop(self._procs, self._task_q)
+        for q in (self._task_q, self._result_q):
+            q.close()
+            q.join_thread()
         self._slab.close()
 
 
@@ -547,11 +511,10 @@ class SeparateCoresEngine(_PoolEngine):
     all ``n_slots`` payload slots are in flight -- the paper's
     memory-capacity backpressure -- and raises
     :class:`~repro.insitu.queue.QueueFailed` (even mid-block) once a
-    worker has died, exactly like
-    :meth:`~repro.insitu.queue.BoundedDataQueue.put` after ``fail()``.
-    :meth:`finish` drains the pool and returns every step's
-    :class:`~repro.bitmap.index.BitmapIndex`, or re-raises the first
-    worker exception.
+    worker has died.  :meth:`finish` drains the pool and returns every
+    step's :class:`~repro.bitmap.index.BitmapIndex`, re-raises the first
+    worker exception, or raises when a worker died without reporting one
+    (killed by a signal, say) and took steps with it.
 
     ``QueueStats`` meanings here: ``puts``/``gets`` count submitted and
     encoded steps, ``producer_blocks`` counts submits that had to wait
@@ -657,8 +620,8 @@ class SeparateCoresEngine(_PoolEngine):
         self._check_failed("encoder pool failed before submit")
         flat = np.ascontiguousarray(np.asarray(payload).ravel())
         try:
-            # Like BoundedDataQueue, a put that has to wait *at all*
-            # counts as a producer block.
+            # A submit that has to wait *at all* counts as a producer
+            # block.
             slot_id = self._free_q.get_nowait()
         except _queue_mod.Empty:
             self.stats.producer_blocks += 1
@@ -699,20 +662,28 @@ class SeparateCoresEngine(_PoolEngine):
         """Close the ring, drain the pool, and return step -> index.
 
         Re-raises the first worker exception (original type and args)
-        after the pool has drained, mirroring
-        :class:`ThreadedSeparateCoresEngine`.
+        after the pool has drained.  A worker that exited non-zero
+        without shipping an exception, or any step that never came back,
+        raises :class:`RuntimeError`: a partial result would pair the
+        surviving indices with the wrong step ids.
         """
         if self._finished:
             raise RuntimeError("finish() already called")
         self._finished = True
-        deadline_misses = _stop(self._procs, self._task_q)
+        _stop(self._procs, self._task_q)
         self._result_q.put(None)  # parent's sentinel lands after worker output
         self._collector.join(timeout=_JOIN_SECONDS)
         if self._failure is not None:
             raise self._failure
-        if deadline_misses:  # pragma: no cover - stuck worker
+        dead = [
+            f"{p.name} (exit code {p.exitcode})"
+            for p in self._procs
+            if p.exitcode != 0
+        ]
+        if dead or self.stats.gets != self.stats.puts:
             raise RuntimeError(
-                f"{deadline_misses} encoder workers had to be terminated"
+                f"encoder pool lost {self.stats.puts - self.stats.gets} of "
+                f"{self.stats.puts} steps; dead workers: {dead or 'none'}"
             )
         indices: dict[int, BitmapIndex] = {}
         for step_id, (binning_blob, (n_bits, buffers)) in self._results.items():
@@ -746,89 +717,3 @@ class SeparateCoresEngine(_PoolEngine):
             q.join_thread()
         for slab in self._slots:
             slab.close()
-
-
-# -------------------------------------------------- Separate Cores, threaded
-class _Task(NamedTuple):
-    """One queued step; ``nbytes`` is what the queue's byte bound counts."""
-
-    step_id: int
-    payload: np.ndarray
-    binning: Binning
-
-    @property
-    def nbytes(self) -> int:
-        return self.payload.nbytes
-
-
-class ThreadedSeparateCoresEngine:
-    """Separate Cores on threads: a bounded data queue feeds a worker pool.
-
-    :meth:`submit` blocks while ``capacity_bytes`` of payload are queued
-    (the paper's memory-capacity backpressure, counted in :attr:`stats`).
-    A failing worker poisons the queue, so a producer blocked on it raises
-    :class:`~repro.insitu.queue.QueueFailed` instead of deadlocking, and
-    :meth:`finish` re-raises the worker's original exception.
-    """
-
-    def __init__(
-        self,
-        *,
-        n_workers: int,
-        capacity_bytes: int,
-        chunk_elements: int = 1 << 20,
-    ) -> None:
-        self.chunk_elements = chunk_elements
-        self._queue = BoundedDataQueue(capacity_bytes)
-        self.stats = self._queue.stats
-        self._results: dict[int, BitmapIndex] = {}
-        self._errors: list[BaseException] = []
-        self._lock = threading.Lock()
-        self._threads = [
-            threading.Thread(target=self._work, name=f"bitmap-worker-{i}")
-            for i in range(max(1, n_workers))
-        ]
-        for t in self._threads:
-            t.start()
-
-    def _work(self) -> None:
-        while True:
-            try:
-                task = self._queue.get()
-            except QueueClosed:  # includes QueueFailed poisoning
-                return
-            try:
-                index = BitmapIndex.build(
-                    task.payload, task.binning, chunk_elements=self.chunk_elements
-                )
-                with self._lock:
-                    self._results[task.step_id] = index
-            except BaseException as exc:  # re-raised by finish()
-                with self._lock:
-                    self._errors.append(exc)
-                # Wake a producer blocked on a full queue (and sibling
-                # workers blocked on an empty one) so the run tears down
-                # instead of deadlocking once every worker has died.
-                self._queue.fail(exc)
-                return
-
-    def submit(self, step_id: int, payload: np.ndarray, *, binning: Binning) -> None:
-        self._queue.put(_Task(int(step_id), payload, binning))
-
-    @property
-    def resident_bytes(self) -> int:
-        return self._queue.resident_bytes
-
-    def finish(self) -> dict[int, BitmapIndex]:
-        """Drain the pool; returns step -> index or re-raises a failure."""
-        self._queue.close()
-        for t in self._threads:
-            t.join()
-        if self._errors:
-            raise self._errors[0]
-        return self._results
-
-    def close(self) -> None:
-        self._queue.fail(QueueClosed("engine closed"))
-        for t in self._threads:
-            t.join()

@@ -52,7 +52,6 @@ from repro.insitu.parallel import (
     InlineEngine,
     SeparateCoresEngine,
     SharedCoresEngine,
-    ThreadedSeparateCoresEngine,
 )
 from repro.insitu.queue import QueueFailed
 from repro.insitu.sampling import Sampler
@@ -253,7 +252,7 @@ class InSituPipeline:
         *,
         allocation: SharedCores | SeparateCores | Literal["auto"] | None = None,
         n_workers: int | None = None,
-        executor: Literal["threads", "processes"] = "processes",
+        executor: Literal["processes"] = "processes",
         queue_capacity_bytes: int | None = None,
         calibration_steps: int = 2,
         chunk_elements: int = 1 << 20,
@@ -272,16 +271,18 @@ class InSituPipeline:
         ``allocation`` is omitted, ``n_workers`` selects Shared Cores
         with that many workers.
 
-        ``executor='processes'`` (default) uses the zero-copy
-        shared-memory engines of :mod:`repro.insitu.parallel`;
-        ``'threads'`` is the GIL-bound escape hatch (lower overhead for
-        tiny steps, no multi-core speedup for the Python fraction).
+        Both strategies run on the zero-copy shared-memory process
+        engines of :mod:`repro.insitu.parallel`.  ``executor`` must be
+        ``"processes"``; it stays only because existing callers name it
+        (``benchmarks/e2e/wl_insitu.py`` does).
 
         Stores are byte-identical to :meth:`run` in every configuration,
         row ordering and adaptive binning included.
         """
-        if executor not in ("threads", "processes"):
-            raise ValueError(f"unknown executor {executor!r}")
+        if executor != "processes":
+            raise ValueError(
+                f"unknown executor {executor!r}; the engines run on processes"
+            )
         if allocation is None:
             if n_workers is None:
                 raise ValueError("pass allocation=... or n_workers=...")
@@ -308,16 +309,9 @@ class InSituPipeline:
                 )
             if isinstance(strategy, SharedCores):
                 return SharedCoresEngine(
-                    strategy.total_cores, binning,
-                    executor=executor, chunk_elements=chunk_elements,
+                    strategy.total_cores, binning, chunk_elements=chunk_elements
                 )
             slot_nbytes = max(payload.nbytes, 1)
-            if executor == "threads":
-                return ThreadedSeparateCoresEngine(
-                    n_workers=strategy.bitmap_cores,
-                    capacity_bytes=queue_capacity_bytes or 4 * slot_nbytes,
-                    chunk_elements=chunk_elements,
-                )
             if queue_capacity_bytes:
                 # Respect the byte bound, but cap the slot count: each
                 # slot is one shared-memory segment, and past a few per

@@ -161,6 +161,13 @@ class TestTaggedRoundTrip:
                 select_codec(v) if index.codec == "auto" else CODECS[index.codec]
                 for v in index.bitvectors
             ]
+            saved = 4 * sum(
+                v.n_words - c.payload_n_words(v)
+                for c, v in zip(expected, index.bitvectors)
+            )
+            if index.codec == "auto" and saved <= index.n_bins:
+                # The tag table would cost more than the picks save.
+                expected = [CODECS["wah"]] * index.n_bins
             assert lazy.codecs == expected
             back = lazy.materialize()
         for v_back, v_orig in zip(back.bitvectors, index.bitvectors):

@@ -1,4 +1,12 @@
-"""Tests for concatenation and the Figure-2 parallel builder."""
+"""Tests for concatenation and the Figure-2 split/stitch build.
+
+Figure 2's parallel generation is played out in process here: the data
+is cut by :func:`~repro.insitu.parallel.group_aligned_partitions`, each
+block is built on its own, and the word buffers are stitched with
+:func:`~repro.bitmap.builder.stitch_buffer_parts` -- exactly what a
+:class:`~repro.insitu.parallel.SharedCoresEngine` worker pool does
+across processes (one case below drives the engine itself).
+"""
 
 import numpy as np
 import pytest
@@ -14,12 +22,21 @@ from repro.bitmap.binning import (
 from repro.bitmap.builder import (
     bitvectors_to_buffers,
     build_bitvectors,
-    build_bitvectors_parallel,
     concatenate_bitvectors,
     stitch_buffer_parts,
 )
 from repro.bitmap.wah import WAHBitVector
-from repro.insitu.parallel import group_aligned_partitions
+from repro.insitu.parallel import SharedCoresEngine, group_aligned_partitions
+
+
+def _split_build(data, binning, n_workers):
+    """Figure 2 in process: one build per aligned block, then stitched."""
+    return stitch_buffer_parts(
+        [
+            bitvectors_to_buffers(build_bitvectors(data[b.start : b.stop], binning))
+            for b in group_aligned_partitions(data.size, n_workers)
+        ]
+    )
 
 
 class TestConcatenate:
@@ -85,25 +102,34 @@ class TestParallelBuilder:
         data = rng.normal(0, 1, 12_345)
         binning = EqualWidthBinning.from_data(data, 20)
         serial = build_bitvectors(data, binning)
-        parallel = build_bitvectors_parallel(data, binning, n_workers=n_workers)
-        assert parallel == serial
+        assert _split_build(data, binning, n_workers) == serial
 
     def test_tiny_input_falls_back(self, rng):
         data = rng.random(10)
         binning = EqualWidthBinning(0.0, 1.0, 4)
-        out = build_bitvectors_parallel(data, binning, n_workers=8)
-        assert out == build_bitvectors(data, binning)
+        assert len(group_aligned_partitions(data.size, 8)) == 1
+        assert _split_build(data, binning, 8) == build_bitvectors(data, binning)
 
     def test_invalid_workers(self, rng):
         binning = EqualWidthBinning(0.0, 1.0, 4)
         with pytest.raises(ValueError):
-            build_bitvectors_parallel(rng.random(100), binning, n_workers=0)
+            _split_build(rng.random(100), binning, 0)
+        with pytest.raises(ValueError):
+            SharedCoresEngine(0, binning)
 
     def test_counts_partition(self, rng):
         data = rng.random(5000)
         binning = EqualWidthBinning(0.0, 1.0, 8)
-        vectors = build_bitvectors_parallel(data, binning, n_workers=4)
+        vectors = _split_build(data, binning, 4)
         assert sum(v.count() for v in vectors) == 5000
+
+    @pytest.mark.timeout(120)
+    def test_shared_cores_engine_matches_split_build(self, rng):
+        """The worker pool stitches what the in-process split stitches."""
+        data = rng.normal(0, 1, 12_345)
+        binning = EqualWidthBinning.from_data(data, 20)
+        with SharedCoresEngine(2, binning) as engine:
+            assert engine.build_bitvectors(data) == _split_build(data, binning, 2)
 
 
 BINNING_KINDS = ["distinct", "equal_width", "precision", "explicit"]
@@ -161,14 +187,7 @@ class TestStitchProperty:
         local = np.random.default_rng(seed)
         data, binning = _data_and_binning(kind, local, n)
         serial = build_bitvectors(data, binning)
-        parts = [
-            bitvectors_to_buffers(
-                build_bitvectors(data[block.start : block.stop], binning)
-            )
-            for block in group_aligned_partitions(n, workers)
-        ]
-        assert stitch_buffer_parts(parts) == serial
-        assert build_bitvectors_parallel(data, binning, n_workers=workers) == serial
+        assert _split_build(data, binning, workers) == serial
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(0, 5000), parts=st.integers(1, 16))

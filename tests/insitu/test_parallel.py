@@ -1,6 +1,7 @@
 """Tests for the process-parallel generation engines (repro.insitu.parallel)."""
 
-import sys
+import os
+import signal
 import threading
 
 import numpy as np
@@ -8,12 +9,11 @@ import pytest
 
 from repro.bitmap import EqualWidthBinning, PrecisionBinning
 from repro.bitmap.adaptive import AdaptivePrecisionIndexer
-from repro.bitmap.builder import build_bitvectors, build_bitvectors_parallel
+from repro.bitmap.builder import build_bitvectors
 from repro.insitu.allocation import SeparateCores, SharedCores
 from repro.insitu.parallel import (
     SeparateCoresEngine,
     SharedCoresEngine,
-    ThreadedSeparateCoresEngine,
     group_aligned_partitions,
 )
 from repro.insitu.pipeline import InSituPipeline
@@ -24,6 +24,21 @@ from repro.sims.heat3d import Heat3D
 # Multiprocess engines under test: a stuck queue or worker must fail the
 # test (pytest-timeout, or the conftest SIGALRM fallback), never hang CI.
 pytestmark = pytest.mark.timeout(300)
+
+
+def _kill(proc) -> None:
+    """SIGKILL a pool worker and wait for it: it dies without reporting."""
+    os.kill(proc.pid, signal.SIGKILL)
+    proc.join(timeout=30)
+    assert proc.exitcode == -signal.SIGKILL
+
+
+class ExplodingBinning(PrecisionBinning):
+    """A binning whose every assignment raises (module level, so encoder
+    processes can unpickle it)."""
+
+    def assign_checked(self, values):
+        raise RuntimeError("binning exploded")
 
 
 class TestGroupAlignedPartitions:
@@ -95,21 +110,6 @@ class TestSharedCoresEngine:
         binning = EqualWidthBinning(0.0, 1.0, 4)
         with SharedCoresEngine(4, binning) as engine:
             assert engine.build_bitvectors(data) == build_bitvectors(data, binning)
-
-    def test_one_shot_builder_executor_processes(self, rng):
-        data = rng.random(6_200)
-        binning = EqualWidthBinning(0.0, 1.0, 8)
-        out = build_bitvectors_parallel(
-            data, binning, n_workers=2, executor="processes"
-        )
-        assert out == build_bitvectors(data, binning)
-
-    def test_unknown_executor_rejected(self, rng):
-        binning = EqualWidthBinning(0.0, 1.0, 4)
-        with pytest.raises(ValueError, match="executor"):
-            build_bitvectors_parallel(
-                rng.random(1000), binning, n_workers=2, executor="gpu"
-            )
 
     def test_worker_exception_propagates_and_engine_survives(self, rng):
         binning = EqualWidthBinning(0.0, 1.0, 8)
@@ -211,16 +211,76 @@ class TestSeparateCoresEngine:
         t.join(timeout=30)
         try:
             assert not t.is_alive(), "engine deadlocked after worker death"
+            # The worker frees its slot before dying, so step 1 still gets
+            # one; step 2 waits on a ring nobody drains and is released by
+            # the poison.  The exception crossed a process boundary, so
+            # compare type and message, not identity.
             exc = outcome["exc"]
-            # Either submit noticed the poisoned ring (QueueFailed wrapping
-            # the worker exception) or finish() re-raised it directly.  The
-            # exception crossed a process boundary, so compare type and
-            # message, not identity.
-            cause = exc.cause if isinstance(exc, QueueFailed) else exc
-            assert isinstance(cause, ValueError)
-            assert "domain" in str(cause)
+            assert isinstance(exc, QueueFailed)
+            assert isinstance(exc.cause, ValueError)
+            assert "domain" in str(exc.cause)
         finally:
             engine.close()
+
+    def test_waiting_submit_counts_as_producer_block(self, rng):
+        """With the lone worker stopped, the second submit through a
+        one-slot ring waits until the worker runs again, and counts as
+        exactly one producer block."""
+        binning = EqualWidthBinning(0.0, 1.0, 8)
+        payloads = [rng.random(500) for _ in range(2)]
+        with SeparateCoresEngine(
+            binning, n_workers=1, slot_nbytes=8 * 500, n_slots=1
+        ) as engine:
+            worker = engine._procs[0]
+            os.kill(worker.pid, signal.SIGSTOP)
+            try:
+                engine.submit(0, payloads[0])  # takes the free slot
+                second = threading.Thread(
+                    target=engine.submit, args=(1, payloads[1]), daemon=True
+                )
+                second.start()
+                second.join(timeout=0.3)
+                assert second.is_alive(), "submit should wait for a slot"
+            finally:
+                os.kill(worker.pid, signal.SIGCONT)
+            second.join(timeout=30)
+            assert not second.is_alive()
+            indices = engine.finish()
+        assert engine.stats.producer_blocks == 1
+        for step, payload in enumerate(payloads):
+            assert indices[step].bitvectors == build_bitvectors(payload, binning)
+
+    def test_many_workers_lose_no_step(self, rng):
+        """Three encoders, a three-slot ring and 40 steps: every step
+        comes back exactly once, word-identical."""
+        binning = EqualWidthBinning(0.0, 1.0, 8)
+        payloads = {step: rng.random(1_000 + step) for step in range(40)}
+        with SeparateCoresEngine(
+            binning, n_workers=3, slot_nbytes=8 * 1_040, n_slots=3
+        ) as engine:
+            for step, payload in payloads.items():
+                engine.submit(step, payload)
+            indices = engine.finish()
+        assert engine.stats.puts == engine.stats.gets == 40
+        assert set(indices) == set(payloads)
+        for step, payload in payloads.items():
+            assert indices[step].bitvectors == build_bitvectors(payload, binning)
+
+    def test_killed_worker_fails_finish(self, rng):
+        """Regression: a worker killed by a signal ships no exception;
+        finish() used to return an empty result for three submitted
+        steps instead of raising."""
+        binning = EqualWidthBinning(0.0, 1.0, 8)
+        with SeparateCoresEngine(
+            binning, n_workers=1, slot_nbytes=8 * 1_000, n_slots=4
+        ) as engine:
+            _kill(engine._procs[0])
+            for step in range(3):
+                engine.submit(step, rng.random(1_000))
+            with pytest.raises(
+                RuntimeError, match=r"lost 3 of 3.*separate-cores-0 \(exit code -9\)"
+            ):
+                engine.finish()
 
     def test_submit_after_finish_rejected(self, rng):
         binning = EqualWidthBinning(0.0, 1.0, 4)
@@ -250,41 +310,6 @@ class TestSeparateCoresEngine:
             SeparateCoresEngine(binning, n_workers=1, slot_nbytes=100, n_slots=0)
 
 
-class TestThreadedSeparateCoresEngine:
-    def test_many_workers_lose_no_step(self, rng):
-        """More worker threads than cores, a queue of three payloads and a
-        tiny switch interval: every step comes back, word-identical."""
-        binning = EqualWidthBinning(0.0, 1.0, 8)
-        payloads = {step: rng.random(1_000 + step) for step in range(40)}
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            engine = ThreadedSeparateCoresEngine(
-                n_workers=6, capacity_bytes=3 * 8 * 1_040
-            )
-            try:
-                for step, payload in payloads.items():
-                    engine.submit(step, payload, binning=binning)
-                indices = engine.finish()
-            finally:
-                engine.close()
-        finally:
-            sys.setswitchinterval(interval)
-        assert engine.stats.puts == engine.stats.gets == 40
-        assert set(indices) == set(payloads)
-        for step, payload in payloads.items():
-            assert indices[step].bitvectors == build_bitvectors(payload, binning)
-
-    def test_shared_cores_threads_matches_serial(self, rng):
-        data = rng.random(12_345)
-        binning = EqualWidthBinning(0.0, 1.0, 12)
-        with SharedCoresEngine(3, binning, executor="threads") as engine:
-            assert engine.submit(0, data).bitvectors == build_bitvectors(
-                data, binning
-            )
-            assert engine.finish() == {}
-
-
 def _baseline(n_steps: int = 10, select_k: int = 3):
     sim = Heat3D((8, 8, 8), seed=11)
     pipe = InSituPipeline(
@@ -312,15 +337,6 @@ class TestRunParallel:
         base = _baseline()
         result = _parallel(
             lambda p, n, k: p.run_parallel(n, k, allocation=SharedCores(2))
-        )
-        self._assert_equivalent(result, base)
-
-    def test_shared_threads(self):
-        base = _baseline()
-        result = _parallel(
-            lambda p, n, k: p.run_parallel(
-                n, k, allocation=SharedCores(2), executor="threads"
-            )
         )
         self._assert_equivalent(result, base)
 
@@ -375,3 +391,46 @@ class TestRunParallel:
             pipe.run_parallel(4, 2, allocation="auto")
         with pytest.raises(ValueError, match="executor"):
             pipe.run_parallel(4, 2, n_workers=2, executor="fibers")
+
+    def test_worker_failure_propagates_without_deadlock(self):
+        """When the lone encoder dies, a producer blocked on the full
+        ring must not wait forever: the run re-raises the worker's
+        exception."""
+        sim = Heat3D((8, 8, 8), seed=9)
+        pipe = InSituPipeline(
+            sim, ExplodingBinning(19.0, 101.0, digits=0), CONDITIONAL_ENTROPY
+        )
+        outcome: dict[str, BaseException] = {}
+
+        def run():
+            try:
+                # Two slots, twelve steps: the producer blocks once the
+                # lone worker is dead.
+                pipe.run_parallel(12, 3, allocation=SeparateCores(1, 1))
+            except BaseException as exc:
+                outcome["exc"] = exc
+
+        t = threading.Thread(target=run, daemon=True)
+        t.start()
+        t.join(timeout=60)
+        assert not t.is_alive(), "run deadlocked after worker death"
+        assert isinstance(outcome["exc"], RuntimeError)
+        assert "binning exploded" in str(outcome["exc"])
+
+    def test_killed_worker_fails_the_run(self):
+        """Regression: a SIGKILLed encoder used to surface as a
+        misleading selection error ("cannot select 2 of 0 time-steps")
+        after finish() returned nothing.  The run must name the dead
+        worker instead."""
+        binning = PrecisionBinning(19.0, 101.0, digits=0)
+        pipe = InSituPipeline(Heat3D((8, 8, 8), seed=9), binning, CONDITIONAL_ENTROPY)
+
+        def open_engine(payload, timings):
+            engine = SeparateCoresEngine(
+                binning, n_workers=1, slot_nbytes=payload.nbytes, n_slots=8
+            )
+            _kill(engine._procs[0])
+            return engine
+
+        with pytest.raises(RuntimeError, match=r"separate-cores-0 \(exit code -9\)"):
+            pipe._loop(4, 2, "separate", open_engine)

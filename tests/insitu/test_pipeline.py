@@ -1,12 +1,9 @@
 """Integration tests: the full in-situ pipeline on real simulations."""
 
-import threading
-
 import numpy as np
 import pytest
 
 from repro.bitmap import PrecisionBinning
-from repro.insitu.allocation import SeparateCores
 from repro.insitu.pipeline import InSituPipeline
 from repro.insitu.sampling import Sampler
 from repro.insitu.writer import OutputWriter
@@ -99,69 +96,6 @@ class TestBitmapPipeline:
         assert result.artifact_bytes == base.artifact_bytes
         # No steps were left for the engine, so no queue ever existed.
         assert result.queue_stats is None
-
-
-class TestThreadedPipeline:
-    """Separate Cores on threads: run_parallel's threaded engine."""
-
-    @staticmethod
-    def _run(pipe, n_steps, select_k, capacity):
-        return pipe.run_parallel(
-            n_steps, select_k, allocation=SeparateCores(1, 1),
-            executor="threads", queue_capacity_bytes=capacity,
-        )
-
-    def test_separate_cores_equivalent_output(self):
-        """Threaded (separate cores) and sequential (shared cores) runs
-        select identical time-steps."""
-        seq_sim = Heat3D((8, 8, 8), seed=9)
-        seq = InSituPipeline(seq_sim, _heat_binning(), CONDITIONAL_ENTROPY).run(16, 4)
-        thr_sim = Heat3D((8, 8, 8), seed=9)
-        thr = self._run(
-            InSituPipeline(thr_sim, _heat_binning(), CONDITIONAL_ENTROPY),
-            16, 4, 4 * 8 * 8 * 8 * 8,
-        )
-        assert thr.selection.selected == seq.selection.selected
-        assert thr.queue_stats is not None
-        assert thr.queue_stats.puts == 16
-
-    def test_tight_queue_backpressure(self):
-        """A one-step queue forces producer/consumer interleaving."""
-        sim = Heat3D((8, 8, 8), seed=9)
-        pipe = InSituPipeline(sim, _heat_binning(), CONDITIONAL_ENTROPY)
-        result = self._run(pipe, 12, 3, 8 * 8 * 8 * 8)
-        assert result.queue_stats.max_depth <= 2
-        assert result.selection.k == 3
-
-    def test_worker_failure_propagates_without_deadlock(self):
-        """Regression: when every worker dies, a producer blocked on a
-        full queue used to wait forever.  The failing worker must poison
-        the queue so the run re-raises the original exception."""
-        boom = RuntimeError("binning exploded")
-
-        class ExplodingBinning(PrecisionBinning):
-            def assign_checked(self, values):
-                raise boom
-
-        sim = Heat3D((8, 8, 8), seed=9)
-        pipe = InSituPipeline(
-            sim, ExplodingBinning(19.0, 101.0, digits=0), CONDITIONAL_ENTROPY
-        )
-        outcome: dict[str, BaseException] = {}
-
-        def run():
-            try:
-                # Queue fits exactly one 4096-byte step, so the producer
-                # blocks on step 2 once the lone worker is dead.
-                self._run(pipe, 12, 3, 8 * 8 * 8 * 8)
-            except BaseException as exc:
-                outcome["exc"] = exc
-
-        t = threading.Thread(target=run, daemon=True)
-        t.start()
-        t.join(timeout=10)
-        assert not t.is_alive(), "threaded engine deadlocked after worker death"
-        assert outcome["exc"] is boom
 
 
 class TestRowOrderingPerRun:

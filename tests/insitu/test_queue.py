@@ -1,275 +1,14 @@
-"""Tests for the bounded data queue (repro.insitu.queue)."""
+"""Tests for the data-queue outcomes (repro.insitu.queue).
 
-import threading
-import time
+The Separate Cores slot ring that raises them is tested in
+tests/insitu/test_parallel.py (``TestSeparateCoresEngine``).
+"""
 
-import numpy as np
-import pytest
-
-from repro.insitu.queue import BoundedDataQueue, QueueClosed, QueueFailed
-from repro.sims.base import TimeStepData
-
-
-def _step(step_id: int, n: int = 100) -> TimeStepData:
-    return TimeStepData(step_id, {"v": np.zeros(n)})
-
-
-class TestQueueBasics:
-    def test_fifo_order(self):
-        q = BoundedDataQueue(10**9)
-        for i in range(5):
-            q.put(_step(i))
-        assert [q.get().step for _ in range(5)] == list(range(5))
-
-    def test_byte_accounting(self):
-        q = BoundedDataQueue(10**9)
-        q.put(_step(0, 100))
-        assert q.resident_bytes == 800
-        q.get()
-        assert q.resident_bytes == 0
-
-    def test_closed_get_raises_after_drain(self):
-        q = BoundedDataQueue(10**9)
-        q.put(_step(0))
-        q.close()
-        assert q.get().step == 0  # drains fine
-        with pytest.raises(QueueClosed):
-            q.get()
-
-    def test_put_after_close_rejected(self):
-        q = BoundedDataQueue(10**9)
-        q.close()
-        with pytest.raises(QueueClosed):
-            q.put(_step(0))
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            BoundedDataQueue(0)
-
-    def test_oversized_item_accepted_when_empty(self):
-        q = BoundedDataQueue(10)  # tiny capacity
-        q.put(_step(0, 100))  # 800 bytes > 10, but queue was empty
-        assert q.depth == 1
-
-
-class TestQueueBlocking:
-    def test_producer_blocks_until_consumer_drains(self):
-        q = BoundedDataQueue(1000)  # fits one 800-byte step
-        q.put(_step(0))
-        done = threading.Event()
-
-        def producer():
-            q.put(_step(1))  # must block: 1600 > 1000
-            done.set()
-
-        t = threading.Thread(target=producer)
-        t.start()
-        time.sleep(0.05)
-        assert not done.is_set(), "producer should be blocked on a full queue"
-        q.get()
-        t.join(timeout=2)
-        assert done.is_set()
-        assert q.stats.producer_blocks == 1
-
-    def test_consumer_blocks_until_producer_puts(self):
-        q = BoundedDataQueue(10**9)
-        got: list[int] = []
-
-        def consumer():
-            got.append(q.get().step)
-
-        t = threading.Thread(target=consumer)
-        t.start()
-        time.sleep(0.05)
-        assert not got, "consumer should be blocked on an empty queue"
-        q.put(_step(7))
-        t.join(timeout=2)
-        assert got == [7]
-        assert q.stats.consumer_blocks == 1
-
-    def test_close_releases_blocked_consumer(self):
-        q = BoundedDataQueue(10**9)
-        raised = threading.Event()
-
-        def consumer():
-            try:
-                q.get()
-            except QueueClosed:
-                raised.set()
-
-        t = threading.Thread(target=consumer)
-        t.start()
-        time.sleep(0.05)
-        q.close()
-        t.join(timeout=2)
-        assert raised.is_set()
-
-    def test_stats_depth(self):
-        q = BoundedDataQueue(10**9)
-        for i in range(4):
-            q.put(_step(i))
-        assert q.stats.max_depth == 4
-
-    def test_producer_consumer_roundtrip(self):
-        """A full pipeline of 50 steps through a tight queue."""
-        q = BoundedDataQueue(2000)
-        received: list[int] = []
-
-        def consumer():
-            while True:
-                try:
-                    received.append(q.get().step)
-                except QueueClosed:
-                    return
-
-        t = threading.Thread(target=consumer)
-        t.start()
-        for i in range(50):
-            q.put(_step(i))
-        q.close()
-        t.join(timeout=5)
-        assert received == list(range(50))
-        assert q.stats.puts == q.stats.gets == 50
+from repro.insitu.queue import QueueClosed, QueueFailed
 
 
 class TestQueueFailure:
-    def test_fail_poisons_put_and_get(self):
-        q = BoundedDataQueue(10**9)
-        q.put(_step(0))
-        boom = RuntimeError("worker died")
-        q.fail(boom)
-        # Unlike close(), fail() does NOT allow draining: queued items are
-        # abandoned so the error surfaces immediately.
-        with pytest.raises(QueueFailed) as exc_info:
-            q.get()
-        assert exc_info.value.cause is boom
-        with pytest.raises(QueueFailed):
-            q.put(_step(1))
-        assert q.failure is boom
-
     def test_queue_failed_is_queue_closed(self):
         # Drain loops that catch QueueClosed must also terminate on
         # failure, so the poison exception is a subtype.
         assert issubclass(QueueFailed, QueueClosed)
-
-    def test_fail_records_first_exception_only(self):
-        q = BoundedDataQueue(10**9)
-        first, second = RuntimeError("first"), RuntimeError("second")
-        q.fail(first)
-        q.fail(second)
-        assert q.failure is first
-
-    def test_fail_releases_blocked_producer(self):
-        """The deadlock scenario: producer parked on a full queue with no
-        consumer left alive must be woken by fail(), not wait forever."""
-        q = BoundedDataQueue(1000)  # fits one 800-byte step
-        q.put(_step(0))
-        outcome: list[object] = []
-
-        def producer():
-            try:
-                q.put(_step(1))  # blocks: 1600 > 1000
-                outcome.append("returned")
-            except QueueFailed as exc:
-                outcome.append(exc.cause)
-
-        t = threading.Thread(target=producer, daemon=True)
-        t.start()
-        time.sleep(0.05)
-        assert not outcome, "producer should be blocked on a full queue"
-        boom = RuntimeError("all workers died")
-        q.fail(boom)
-        t.join(timeout=2)
-        assert not t.is_alive()
-        assert outcome == [boom]
-
-    def test_fail_releases_blocked_consumers(self):
-        q = BoundedDataQueue(10**9)
-        raised: list[object] = []
-        lock = threading.Lock()
-
-        def consumer():
-            try:
-                q.get()
-            except QueueFailed as exc:
-                with lock:
-                    raised.append(exc.cause)
-
-        threads = [threading.Thread(target=consumer, daemon=True) for _ in range(3)]
-        for t in threads:
-            t.start()
-        time.sleep(0.05)
-        boom = ValueError("poison")
-        q.fail(boom)
-        for t in threads:
-            t.join(timeout=2)
-        assert raised == [boom] * 3
-
-
-class TestQueueStress:
-    def test_multi_producer_multi_consumer(self):
-        """4 producers x 3 consumers over a tight queue: nothing lost,
-        nothing duplicated, all byte accounting consistent."""
-        q = BoundedDataQueue(5 * 800)
-        n_producers, per_producer = 4, 40
-        received: list[int] = []
-        lock = threading.Lock()
-
-        def producer(base: int):
-            for i in range(per_producer):
-                q.put(_step(base + i))
-
-        def consumer():
-            while True:
-                try:
-                    item = q.get()
-                except QueueClosed:
-                    return
-                with lock:
-                    received.append(item.step)
-
-        consumers = [threading.Thread(target=consumer) for _ in range(3)]
-        for t in consumers:
-            t.start()
-        producers = [
-            threading.Thread(target=producer, args=(1000 * p,))
-            for p in range(n_producers)
-        ]
-        for t in producers:
-            t.start()
-        for t in producers:
-            t.join(timeout=10)
-        q.close()
-        for t in consumers:
-            t.join(timeout=10)
-
-        assert len(received) == n_producers * per_producer
-        assert len(set(received)) == len(received)
-        assert q.resident_bytes == 0
-        assert q.stats.puts == q.stats.gets == n_producers * per_producer
-
-    def test_interleaved_close_under_load(self):
-        """Closing while consumers are blocked wakes all of them."""
-        q = BoundedDataQueue(10**6)
-        results: list[str] = []
-        lock = threading.Lock()
-
-        def consumer():
-            try:
-                q.get()
-                with lock:
-                    results.append("item")
-            except QueueClosed:
-                with lock:
-                    results.append("closed")
-
-        threads = [threading.Thread(target=consumer) for _ in range(5)]
-        for t in threads:
-            t.start()
-        time.sleep(0.05)
-        q.put(_step(1))  # exactly one consumer gets an item
-        time.sleep(0.05)
-        q.close()
-        for t in threads:
-            t.join(timeout=5)
-        assert sorted(results) == ["closed"] * 4 + ["item"]

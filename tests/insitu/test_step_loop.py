@@ -15,11 +15,7 @@ import pytest
 from repro.bitmap import BitmapIndex, PrecisionBinning
 from repro.bitmap.ordering import compute_ordering
 from repro.insitu.allocation import SeparateCores, SharedCores
-from repro.insitu.parallel import (
-    SeparateCoresEngine,
-    SharedCoresEngine,
-    ThreadedSeparateCoresEngine,
-)
+from repro.insitu.parallel import SeparateCoresEngine, SharedCoresEngine
 from repro.insitu.pipeline import InSituPipeline, UnsupportedCombination
 from repro.insitu.sampling import Sampler
 from repro.insitu.variables import MultiVariableStep, binnings_from_probe
@@ -33,13 +29,8 @@ pytestmark = pytest.mark.timeout(300)
 
 BINNING = PrecisionBinning(19.0, 101.0, digits=0)
 N_STEPS, SELECT_K = 4, 2
-ENGINES = (
-    "inline",
-    "shared-processes",
-    "shared-threads",
-    "separate-processes",
-    "separate-threads",
-)
+#: Engine ids name strategy and executor; processes are the only executor.
+ENGINES = ("inline", "shared-processes", "separate-processes")
 #: Three of Lulesh's arrays, each binned over its own range (§5.1).
 MV_BINNINGS = binnings_from_probe(
     list(LuleshProxy((6, 6, 6), seed=4).run(10)),
@@ -77,19 +68,19 @@ def _engine(engine: str, pipe: InSituPipeline):
     """(engine kind, factory) for driving the step loop directly."""
     if engine == "inline":
         return "inline", lambda payload, timings: pipe._inline
-    strategy, executor = engine.split("-")
+    strategy = engine.split("-")[0]
     binning = None if pipe.variables else pipe.binning
 
     def open_engine(payload, timings):
         if strategy == "shared":
-            return SharedCoresEngine(2, binning, executor=executor)
-        if executor == "threads":
-            return ThreadedSeparateCoresEngine(
-                n_workers=1, capacity_bytes=4 * payload.nbytes
-            )
+            return SharedCoresEngine(2, binning)
         return SeparateCoresEngine(binning, n_workers=1, slot_nbytes=payload.nbytes)
 
     return strategy, open_engine
+
+
+def _allocation(engine: str):
+    return SharedCores(2) if engine.startswith("shared") else SeparateCores(1, 1)
 
 
 def _prefix(n: int, ordering: str | None, binning=BINNING) -> list:
@@ -198,11 +189,8 @@ def test_store_parity_through_public_api(tmp_path, engine, binning, ordering):
     if engine == "inline":
         result = pipe.run(n_steps, select_k)
     else:
-        strategy, executor = engine.split("-")
         result = pipe.run_parallel(
-            n_steps, select_k,
-            allocation=SharedCores(2) if strategy == "shared" else SeparateCores(1, 1),
-            executor=executor,
+            n_steps, select_k, allocation=_allocation(engine)
         )
     assert _outcome(result, tmp_path / engine) == expected
 
@@ -221,11 +209,10 @@ def test_resume_prefix_on_every_engine(tmp_path, engine, ordering):
     assert resumed.selection.scores[1:] == full.selection.scores[1:]
 
 
-@pytest.mark.parametrize("executor", ["processes", "threads"])
-def test_auto_allocation_on_both_executors(tmp_path, executor):
+def test_auto_allocation(tmp_path):
     full = _pipeline(tmp_path / "full", ordering="lex").run(6, 2)
     auto = _pipeline(tmp_path / "auto", ordering="lex").run_parallel(
-        6, 2, allocation="auto", n_workers=2, executor=executor
+        6, 2, allocation="auto", n_workers=2
     )
     assert _outcome(auto, tmp_path / "auto") == _outcome(full, tmp_path / "full")
     assert auto.queue_stats.puts == 4  # two calibration steps built inline
@@ -277,12 +264,7 @@ def test_multivariable_store_parity(tmp_path, engine, ordering):
     if engine == "inline":
         result = pipe.run(10, 3)
     else:
-        strategy, executor = engine.split("-")
-        result = pipe.run_parallel(
-            10, 3,
-            allocation=SharedCores(2) if strategy == "shared" else SeparateCores(1, 1),
-            executor=executor,
-        )
+        result = pipe.run_parallel(10, 3, allocation=_allocation(engine))
     selection = result.selection
     assert selection.selected == [0, 5, 9]
     assert math.isnan(selection.scores[0])
